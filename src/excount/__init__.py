@@ -71,7 +71,6 @@ from .asymptotics import (
     crossover_density_estimate,
     crossover_scan,
     disjoint_star_tuple_bound,
-    max_clique_order,
     max_small_side,
     star_factor_upper_bound,
     star_matching_pair_bound,

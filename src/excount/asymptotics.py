@@ -13,20 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .constructions import quasi_clique, quasi_star
+from .constructions import clique_decomposition, quasi_clique, quasi_star
 from .counting import count_stars, inj_homs
 from .decomposition import star_factor_profile
 from .graphs import Graph, GraphError, star_graph
-
-
-def max_clique_order(e: int) -> int:
-    """Largest v with C(v, 2) <= e; returns 1 at e = 0 (a one-vertex graph)."""
-    if e < 0:
-        raise ValueError(f"edge count must be non-negative, got {e}")
-    v = 1
-    while comb(v + 1, 2) <= e:
-        v += 1
-    return v
 
 
 def max_small_side(n: int, e: int) -> int:
@@ -49,7 +39,7 @@ def disjoint_star_tuple_bound(profile: tuple[int, ...], e: int) -> int:
     """
     if any(a < 1 for a in profile):
         raise ValueError(f"leaf counts must be positive, got {profile}")
-    v = max_clique_order(e)
+    v = clique_decomposition(e).a
     bound = 1
     for a in profile:
         bound *= (a + 1) * comb(v + 1, a + 1)

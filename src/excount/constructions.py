@@ -29,7 +29,8 @@ def clique_decomposition(e: int) -> CliqueDecomposition:
     while comb(a + 1, 2) <= e:
         a += 1
     b = e - comb(a, 2)
-    assert 0 <= b < a
+    if not 0 <= b < a:
+        raise RuntimeError(f"decomposition {e} = C({a}, 2) + {b} needs 0 <= b < a")
     return CliqueDecomposition(a, b)
 
 
@@ -73,7 +74,8 @@ def bipartite_shape(n: int, e: int) -> BipartiteShape:
         t += 1
     deficiency = t * (n - t) - e
     degree = (n - t) - deficiency
-    assert 1 <= t <= n // 2 and degree >= t
+    if not (1 <= t <= n // 2 and degree >= t):
+        raise RuntimeError(f"shape t={t}, degree={degree} is invalid for n={n}, e={e}")
     return BipartiteShape(t, deficiency, degree)
 
 

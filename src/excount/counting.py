@@ -140,7 +140,8 @@ def count_copies(H: Graph, G: Graph) -> int:
     """Number of subgraphs of G isomorphic to H."""
     a = automorphism_count(H)
     h = inj_homs(H, G)
-    assert h % a == 0, f"injective hom count {h} not divisible by {a} automorphisms"
+    if h % a:
+        raise RuntimeError(f"injective hom count {h} not divisible by {a} automorphisms")
     return h // a
 
 

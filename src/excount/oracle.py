@@ -1,22 +1,28 @@
 """Independent ground truth by exhaustive host enumeration.
 
-The maximum of N(H, G) over all labeled e-edge hosts on n vertices is
-computed by scanning every e-subset of the candidate pair pool, with no
-canonical-form reduction; isomorphism deduplication is applied only to
-the reported witnesses. The subset space splits into contiguous rank
-ranges, each shard computes a local maximum, and a deterministic merge
-keeps the global maximum with the lexicographically smallest witnesses,
-so parallel and serial runs return identical records.
+The maximum of N(H, G) over labeled e-edge hosts on n vertices is
+computed by one sweep over every e-subset of each candidate pair pool,
+with no canonical-form reduction; isomorphism deduplication is applied
+only to the reported witnesses. Each pool's subset space splits into
+contiguous lexicographic rank ranges, and each shard walks its range as
+an islice of itertools.combinations. A shard scores every host by its
+injective homomorphism count (the degree formula for star patterns, the
+backtracking counter otherwise) and keeps its local maximum. One
+deterministic merge in pool-then-rank order keeps the global maximum with
+the earliest pairwise non-isomorphic witnesses, so parallel and serial
+runs return identical records; the maximum is that score divided once by
+the pattern's automorphism count.
 """
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import combinations
-from math import comb
+from itertools import combinations, islice
+from math import comb, perm
 
 from .counting import PatternCounter, automorphism_count, count_copies
-from .graphs import Graph, GraphError, are_isomorphic, empty_graph, make_graph
+from .graphs import Graph, GraphError, are_isomorphic, make_graph
 
 DEFAULT_BUDGET = 10**8
 DEFAULT_WITNESSES = 3
@@ -55,39 +61,6 @@ def _star_leaf_count(H: Graph) -> int | None:
     return H.n - 1
 
 
-def combination_at_rank(pool_size: int, e: int, rank: int) -> list[int]:
-    """The rank-th e-subset of range(pool_size) in lexicographic order."""
-    if not 0 <= rank < comb(pool_size, e):
-        raise ValueError(f"rank {rank} out of range for C({pool_size}, {e})")
-    combo: list[int] = []
-    x = 0
-    r = rank
-    for slot in range(e):
-        while True:
-            block = comb(pool_size - x - 1, e - slot - 1)
-            if r < block:
-                combo.append(x)
-                x += 1
-                break
-            r -= block
-            x += 1
-    return combo
-
-
-def _advance(combo: list[int], pool_size: int) -> bool:
-    """Step to the lexicographic successor in place; False at the end."""
-    e = len(combo)
-    i = e - 1
-    while i >= 0 and combo[i] == pool_size - e + i:
-        i -= 1
-    if i < 0:
-        return False
-    combo[i] += 1
-    for j in range(i + 1, e):
-        combo[j] = combo[j - 1] + 1
-    return True
-
-
 def _triangle_masks(n: int, pool: list[tuple[int, int]]) -> list[int]:
     index = {pair: i for i, pair in enumerate(pool)}
     masks = []
@@ -101,59 +74,38 @@ def _triangle_masks(n: int, pool: list[tuple[int, int]]) -> list[int]:
     return masks
 
 
-def _ranked_combos(pool_size: int, e: int, start: int, count: int):
-    """Yield `count` consecutive e-subsets starting at lexicographic rank."""
-    if count <= 0:
-        return
-    combo = combination_at_rank(pool_size, e, start)
-    yield combo
-    for _ in range(count - 1):
-        if not _advance(combo, pool_size):
-            return
-        yield combo
-
-
 def _scan_shard(
     n: int,
     pool: list[tuple[int, int]],
     e: int,
     start: int,
-    count: int,
-    pattern_n: int,
-    pattern_edges: tuple[tuple[int, int], ...],
-    star_k: int | None,
+    stop: int,
+    H: Graph,
     triangle_free_only: bool,
     keep: int,
 ) -> tuple[int, list[tuple[tuple[int, int], ...]]]:
-    """Scan a contiguous rank range; return the raw local max and witnesses.
+    """Scan the ranks [start, stop) of one pool; return the local max and witnesses.
 
-    The raw score is the star formula value for star patterns and the
-    injective homomorphism count otherwise; both are monotone in the true
-    copy count, so maxima and ties are preserved.
+    The score is the injective homomorphism count of H: for a k-leaf star
+    the sum of d!/(d-k)! over the host degrees, otherwise the backtracking
+    counter.
     """
-    if count <= 0:
-        return (-1, [])
     us = [p[0] for p in pool]
     vs = [p[1] for p in pool]
-    pool_size = len(pool)
     tri_masks = _triangle_masks(n, pool) if triangle_free_only else []
-    bits = [1 << i for i in range(pool_size)]
+    bits = [1 << i for i in range(len(pool))]
+    star_k = _star_leaf_count(H)
     if star_k is None:
-        counter = PatternCounter(make_graph(pattern_n, pattern_edges))
+        counter = PatternCounter(H)
         lut = None
     else:
         counter = None
-        lut = [comb(d, star_k) for d in range(n)]
+        lut = [perm(d, star_k) for d in range(n)]
 
     best = -1
     wit_graphs: list[Graph] = []
     wit_combos: list[tuple[tuple[int, int], ...]] = []
-
-    if start == 0 and count >= comb(pool_size, e):
-        combo_iter = combinations(range(pool_size), e)
-    else:
-        combo_iter = _ranked_combos(pool_size, e, start, count)
-    for combo in combo_iter:
+    for combo in islice(combinations(range(len(pool)), e), start, stop):
         if triangle_free_only:
             mask = 0
             for i in combo:
@@ -191,86 +143,60 @@ def _scan_shard(
     return (best, wit_combos)
 
 
-def _merge_shards(
+def _sweep(
     n: int,
-    shard_results: list[tuple[int, list[tuple[tuple[int, int], ...]]]],
-    keep: int,
-) -> tuple[int, list[Graph]]:
-    best = max((b for b, _ in shard_results), default=-1)
-    witnesses: list[Graph] = []
-    for b, combos in shard_results:
-        if b != best:
+    e: int,
+    H: Graph,
+    host_class: str,
+    pools: list[list[tuple[int, int]]],
+    triangle_free_only: bool,
+    budget: int,
+    witnesses: int,
+    threads: int,
+) -> ExtremalRecord:
+    """Score every e-subset of every pool and merge the shards into a record."""
+    totals = [comb(len(pool), e) for pool in pools]
+    required = sum(totals)
+    if required > budget:
+        raise EnumerationBudgetError(required, budget)
+    workers = min(threads, os.cpu_count() or 1)
+    shards = 1 if workers <= 1 or required < 4 * workers else workers
+    jobs = []
+    for pool, total in zip(pools, totals):
+        bounds = [total * i // shards for i in range(shards + 1)]
+        jobs += [
+            (n, pool, e, start, stop, H, triangle_free_only, witnesses)
+            for start, stop in zip(bounds, bounds[1:])
+            if start < stop
+        ]
+    if shards == 1:
+        results = list(map(_scan_shard, *zip(*jobs)))
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as executor:
+            results = list(executor.map(_scan_shard, *zip(*jobs)))
+
+    best = max(score for score, _ in results)
+    if best < 0:
+        raise GraphError("enumeration produced no hosts")
+    kept: list[Graph] = []
+    for score, combos in results:
+        if score != best:
             continue
         for edges in combos:
-            if len(witnesses) >= keep:
+            if len(kept) >= witnesses:
                 break
             g = make_graph(n, edges)
-            if not any(are_isomorphic(g, w) for w in witnesses):
-                witnesses.append(g)
-    return best, witnesses
-
-
-def _search_pool(
-    n: int,
-    pool: list[tuple[int, int]],
-    e: int,
-    pattern: Graph,
-    star_k: int | None,
-    triangle_free_only: bool,
-    keep: int,
-    threads: int,
-) -> tuple[int, list[Graph]]:
-    total = comb(len(pool), e)
-    if total == 0:
-        return (-1, [])
-    common = (pattern.n, tuple(sorted(pattern.edges)), star_k, triangle_free_only, keep)
-    if threads <= 1 or total < 4 * threads:
-        result = _scan_shard(n, pool, e, 0, total, *common)
-        return _merge_shards(n, [result], keep)
-    bounds = [total * i // threads for i in range(threads + 1)]
-    jobs = [
-        (n, pool, e, bounds[i], bounds[i + 1] - bounds[i], *common)
-        for i in range(threads)
-        if bounds[i + 1] > bounds[i]
-    ]
-    with ProcessPoolExecutor(max_workers=threads) as executor:
-        results = list(executor.map(_scan_shard_job, jobs))
-    return _merge_shards(n, results, keep)
-
-
-def _scan_shard_job(job):
-    return _scan_shard(*job)
-
-
-def _true_maximum(raw: int, pattern: Graph, star_k: int | None) -> int:
-    if raw < 0:
-        raise GraphError("enumeration produced no hosts")
-    if star_k is None:
-        aut = automorphism_count(pattern)
-        assert raw % aut == 0
-        return raw // aut
-    if star_k == 1:
-        assert raw % 2 == 0
-        return raw // 2
-    return raw
-
-
-def _finalize(
-    n: int,
-    e: int,
-    pattern: Graph,
-    host_class: str,
-    raw_best: int,
-    witnesses: list[Graph],
-    star_k: int | None,
-) -> ExtremalRecord:
-    maximum = _true_maximum(raw_best, pattern, star_k)
-    for w in witnesses:
-        check = count_copies(pattern, w)
-        assert check == maximum, (
-            f"witness scores {check} but the sweep reports {maximum}"
-        )
-    return ExtremalRecord(n, e, pattern, host_class, maximum, tuple(witnesses))
+            if not any(are_isomorphic(g, w) for w in kept):
+                kept.append(g)
+    aut = automorphism_count(H)
+    if best % aut:
+        raise RuntimeError(f"injective hom count {best} not divisible by {aut} automorphisms")
+    maximum = best // aut
+    for w in kept:
+        check = count_copies(H, w)
+        if check != maximum:
+            raise RuntimeError(f"witness scores {check} but the sweep reports {maximum}")
+    return ExtremalRecord(n, e, H, host_class, maximum, tuple(kept))
 
 
 def ex_oracle(
@@ -285,13 +211,8 @@ def ex_oracle(
     """Exact maximum of N(H, G) over all labeled e-edge hosts on n vertices."""
     if not 0 <= e <= comb(n, 2):
         raise GraphError(f"edge count {e} outside [0, {comb(n, 2)}] for n={n}")
-    required = comb(comb(n, 2), e)
-    if required > budget:
-        raise EnumerationBudgetError(required, budget)
     pool = list(combinations(range(n), 2))
-    star_k = _star_leaf_count(H)
-    best, wits = _search_pool(n, pool, e, H, star_k, False, witnesses, threads)
-    return _finalize(n, e, H, "all", best, wits, star_k)
+    return _sweep(n, e, H, "all", [pool], False, budget, witnesses, threads)
 
 
 def ex_bip_oracle(
@@ -305,34 +226,20 @@ def ex_bip_oracle(
 ) -> ExtremalRecord:
     """Exact maximum of N(H, B) over bipartite e-edge hosts on n vertices.
 
-    For each small-side size p the left part is fixed to the lowest p
-    labels and every e-subset of the cross pairs is scanned; together with
-    labeled enumeration this reaches every bipartite host up to
-    isomorphism.
+    For each small-side size p with p(n - p) >= e the left part is fixed
+    to the lowest p labels and every e-subset of the cross pairs is
+    scanned; together with labeled enumeration this reaches every
+    bipartite host up to isomorphism. At e = 0 the p = 0 pool supplies the
+    empty host.
     """
     if not 0 <= e <= n * n // 4:
         raise GraphError(f"edge count {e} outside [0, {n * n // 4}] for n={n}")
-    star_k = _star_leaf_count(H)
-    if e == 0:
-        empty = empty_graph(n)
-        maximum = count_copies(H, empty)
-        return ExtremalRecord(n, e, H, "bipartite", maximum, (empty,))
-    pools = []
-    required = 0
-    for p in range(1, n // 2 + 1):
-        if p * (n - p) < e:
-            continue
-        pool = [(i, j) for i in range(p) for j in range(p, n)]
-        pools.append(pool)
-        required += comb(len(pool), e)
-    if required > budget:
-        raise EnumerationBudgetError(required, budget)
-    shard_results = []
-    for pool in pools:
-        best, wits = _search_pool(n, pool, e, H, star_k, False, witnesses, threads)
-        shard_results.append((best, [tuple(sorted(w.edges)) for w in wits]))
-    best, wits = _merge_shards(n, shard_results, witnesses)
-    return _finalize(n, e, H, "bipartite", best, wits, star_k)
+    pools = [
+        [(i, j) for i in range(p) for j in range(p, n)]
+        for p in range(n // 2 + 1)
+        if p * (n - p) >= e
+    ]
+    return _sweep(n, e, H, "bipartite", pools, False, budget, witnesses, threads)
 
 
 def ex_trifree_oracle(
@@ -351,13 +258,8 @@ def ex_trifree_oracle(
         raise GraphError(
             f"no triangle-free host exists: {e} edges exceed the bound {n * n // 4}"
         )
-    required = comb(comb(n, 2), e)
-    if required > budget:
-        raise EnumerationBudgetError(required, budget)
     pool = list(combinations(range(n), 2))
-    star_k = _star_leaf_count(H)
-    best, wits = _search_pool(n, pool, e, H, star_k, True, witnesses, threads)
-    return _finalize(n, e, H, "triangle_free", best, wits, star_k)
+    return _sweep(n, e, H, "triangle_free", [pool], True, budget, witnesses, threads)
 
 
 def nonmonotonicity_demo(**kwargs) -> tuple[int, int]:
@@ -370,7 +272,8 @@ def nonmonotonicity_demo(**kwargs) -> tuple[int, int]:
     pattern = make_graph(3, [(0, 1), (0, 2)])
     first = ex_bip_oracle(8, 12, pattern, **kwargs)
     second = ex_bip_oracle(8, 13, pattern, **kwargs)
-    assert first.maximum > second.maximum, (
-        f"expected a strict drop, got {first.maximum} and {second.maximum}"
-    )
+    if first.maximum <= second.maximum:
+        raise RuntimeError(
+            f"expected a strict drop, got {first.maximum} and {second.maximum}"
+        )
     return (first.maximum, second.maximum)

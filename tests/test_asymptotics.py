@@ -7,7 +7,6 @@ from excount.asymptotics import (
     crossover_density_estimate,
     crossover_scan,
     disjoint_star_tuple_bound,
-    max_clique_order,
     max_small_side,
     star_factor_upper_bound,
     star_matching_pair_bound,
@@ -27,22 +26,6 @@ from excount.graphs import (
     star_graph,
 )
 from excount.oracle import ex_oracle
-
-
-class TestMaxCliqueOrder:
-    def test_exact_binomial(self):
-        assert max_clique_order(10) == 5
-
-    def test_between_binomials(self):
-        assert max_clique_order(11) == 5
-
-    def test_zero_convention(self):
-        assert max_clique_order(0) == 1
-
-    def test_defining_property(self):
-        for e in range(0, 300):
-            v = max_clique_order(e)
-            assert comb(v, 2) <= e < comb(v + 1, 2)
 
 
 class TestMaxSmallSide:

@@ -34,7 +34,7 @@ class TestCliqueDecomposition:
         assert (dec.a, dec.b) == (1, 0)
 
     def test_identity_everywhere(self):
-        for e in range(0, 200):
+        for e in range(0, 300):
             dec = clique_decomposition(e)
             assert comb(dec.a, 2) + dec.b == e
             assert 0 <= dec.b < dec.a

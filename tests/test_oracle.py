@@ -1,39 +1,26 @@
-from itertools import combinations
+import os
 from math import comb
 
 import pytest
 
+import excount.oracle as oracle
 from excount.constructions import quasi_clique, quasi_complete_bipartite
 from excount.counting import count_copies
 from excount.graphs import (
     are_isomorphic,
     complete_graph,
     cycle_graph,
+    empty_graph,
     path_graph,
     star_graph,
 )
 from excount.oracle import (
     EnumerationBudgetError,
-    combination_at_rank,
     ex_bip_oracle,
     ex_oracle,
     ex_trifree_oracle,
     nonmonotonicity_demo,
 )
-
-
-class TestCombinationRanking:
-    def test_matches_itertools_order(self):
-        for pool in range(0, 8):
-            for e in range(0, pool + 1):
-                ranked = [
-                    tuple(combination_at_rank(pool, e, r)) for r in range(comb(pool, e))
-                ]
-                assert ranked == list(combinations(range(pool), e))
-
-    def test_rank_out_of_range(self):
-        with pytest.raises(ValueError):
-            combination_at_rank(5, 2, 10)
 
 
 class TestExOracle:
@@ -87,6 +74,44 @@ class TestExOracle:
         parallel = ex_oracle(5, 5, star_graph(2), threads=2)
         assert serial == parallel
 
+    @pytest.mark.parametrize("threads", [2, 3])
+    @pytest.mark.parametrize(
+        "sweep, n, e, pattern",
+        [
+            (ex_oracle, 6, 7, path_graph(4)),
+            (ex_trifree_oracle, 6, 7, path_graph(4)),
+            (ex_bip_oracle, 8, 10, path_graph(4)),
+        ],
+        ids=["counter", "triangle-filter", "bipartite-pools"],
+    )
+    def test_shards_match_serial(self, monkeypatch, sweep, n, e, pattern, threads):
+        # Three reported CPUs keep threads=3 from being clamped to fewer shards.
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert sweep(n, e, pattern, threads=threads) == sweep(n, e, pattern, threads=1)
+
+    def test_workers_clamped_to_cpu_count(self, monkeypatch):
+        class InlineExecutor:
+            max_workers = []
+
+            def __init__(self, max_workers):
+                self.max_workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(oracle, "ProcessPoolExecutor", InlineExecutor)
+        serial = ex_oracle(6, 7, path_graph(4), threads=1)
+        clamped = ex_oracle(6, 7, path_graph(4), threads=10**6)
+        assert InlineExecutor.max_workers == [2]
+        assert clamped == serial
+
 
 class TestExBipOracle:
     def test_bipartite_maxima_drop_at_eight_vertices(self):
@@ -104,6 +129,12 @@ class TestExBipOracle:
     def test_zero_edges(self):
         rec = ex_bip_oracle(5, 0, star_graph(2))
         assert rec.maximum == 0 and rec.witnesses[0].edge_count == 0
+
+    @pytest.mark.parametrize("n, pattern", [(1, star_graph(2)), (5, path_graph(4))])
+    def test_zero_edges_single_empty_witness(self, n, pattern):
+        rec = ex_bip_oracle(n, 0, pattern)
+        assert rec.maximum == 0
+        assert rec.witnesses == (empty_graph(n),)
 
     def test_infeasible_budget_rejected(self):
         from excount.graphs import GraphError
