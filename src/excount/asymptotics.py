@@ -11,12 +11,12 @@ reported density is an estimate, never a constant.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, perm
 
-from .constructions import clique_decomposition, quasi_clique, quasi_star
-from .counting import count_stars, inj_homs
+from .constructions import clique_decomposition, family_degrees, quasi_clique, quasi_star  # noqa
+from .counting import count_stars, inj_homs  # noqa: F401 - bench/tracer.py wraps these and quasi_*
 from .decomposition import star_factor_profile
-from .graphs import Graph, GraphError, star_graph
+from .graphs import Graph, GraphError
 
 
 def max_small_side(n: int, e: int) -> int:
@@ -70,12 +70,9 @@ def star_factor_upper_bound(H: Graph, n: int, e: int) -> int:
     """
     if e < 1:
         raise GraphError(f"edge budget must be at least 1, got {e}")
-    clique = quasi_clique(n, e)
-    star = quasi_star(n, e)
     bound = 1
     for a in star_factor_profile(H):
-        pattern = star_graph(a)
-        bound *= max(inj_homs(pattern, clique), inj_homs(pattern, star))
+        bound *= max(sum(perm(d, a) for d in degrees) for degrees in family_degrees(n, e))
     return bound
 
 
@@ -98,7 +95,7 @@ class DensityScan:
 
 
 def crossover_scan(j: int, n: int, step: int = 1) -> DensityScan:
-    """Evaluate both families at e = 0, step, 2*step, ..., C(n, 2)."""
+    """Both families' j-star counts, from degree sequences, at e = 0, step, ..., C(n, 2)."""
     if j < 2:
         raise ValueError(f"leaf count must be at least 2, got {j}")
     if n < j + 2:
@@ -110,7 +107,7 @@ def crossover_scan(j: int, n: int, step: int = 1) -> DensityScan:
     if points[-1] != top:
         points.append(top)
     samples = tuple(
-        (e, count_stars(quasi_clique(n, e), j), count_stars(quasi_star(n, e), j))
+        (e, *(sum(comb(d, j) for d in degrees) for degrees in family_degrees(n, e)))
         for e in points
     )
     crossover = None

@@ -51,6 +51,17 @@ def quasi_star(n: int, e: int) -> Graph:
     return complement(quasi_clique(n, comb(n, 2) - e))
 
 
+def family_degrees(n: int, e: int) -> tuple[list[int], list[int]]:
+    """Degree sequences of quasi_clique(n, e) and quasi_star(n, e), without building them."""
+    if not 0 <= e <= comb(n, 2):
+        raise GraphError(f"edge count {e} outside [0, {comb(n, 2)}] for n={n}")
+    clique, complement_clique = (
+        ([dec.a] * dec.b + [dec.a - 1] * (dec.a - dec.b) + [dec.b] + [0] * n)[:n]
+        for dec in map(clique_decomposition, (e, comb(n, 2) - e))
+    )
+    return clique, [n - 1 - d for d in complement_clique]
+
+
 @dataclass(frozen=True, slots=True)
 class BipartiteShape:
     """Shape parameters of the quasi-complete bipartite graph.

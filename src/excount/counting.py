@@ -6,11 +6,12 @@ vertices); hosts are desk scale.
 """
 from __future__ import annotations
 
-from itertools import combinations
-from math import comb
+from collections import defaultdict
+from functools import lru_cache
+from math import comb, factorial
 from typing import Sequence
 
-from .graphs import Graph
+from .graphs import Graph, disjoint_union, path_graph, star_graph
 
 
 def count_stars(G: Graph, k: int) -> int:
@@ -26,49 +27,24 @@ def count_stars(G: Graph, k: int) -> int:
 class PatternCounter:
     """Backtracking counter of injective homomorphisms of a fixed pattern.
 
-    The pattern vertices are visited in BFS order starting from a maximum
-    degree vertex of each component (components in decreasing order of
-    their maximum degree), so every vertex after the first of a component
-    has at least one already-placed neighbor to prune against. The count
-    is independent of the order; the order only helps pruning.
+    It scores the oracle's tiny hosts, counts automorphisms, takes the
+    patterns without a homomorphism basis (see inj_homs) and is the slow
+    reference for the basis. Vertices are visited in BFS order from each
+    component's highest-degree vertex, components by that degree, so each
+    later vertex of a component has a placed neighbor to prune against.
     """
 
     __slots__ = ("pattern_n", "order", "parents", "mindeg")
 
     def __init__(self, pattern: Graph):
-        comps: list[list[int]] = []
-        seen = [False] * pattern.n
-        for start in range(pattern.n):
-            if seen[start]:
-                continue
-            comp = [start]
-            seen[start] = True
-            head = 0
-            while head < len(comp):
-                for w in sorted(pattern.adj[comp[head]]):
-                    if not seen[w]:
-                        seen[w] = True
-                        comp.append(w)
-                head += 1
-            comps.append(comp)
-
-        def comp_key(comp: list[int]) -> tuple[int, int]:
-            best = max(comp, key=lambda v: (pattern.degrees[v], -v))
-            return (-pattern.degrees[best], best)
-
         order: list[int] = []
-        for comp in sorted(comps, key=comp_key):
-            root = max(comp, key=lambda v: (pattern.degrees[v], -v))
-            bfs = [root]
-            placed = {root}
-            head = 0
-            while head < len(bfs):
-                for w in sorted(pattern.adj[bfs[head]]):
-                    if w not in placed:
-                        placed.add(w)
-                        bfs.append(w)
+        for root in sorted(range(pattern.n), key=lambda v: (-pattern.degrees[v], v)):
+            head = len(order)
+            if root not in order:
+                order.append(root)
+            while head < len(order):
+                order += [w for w in sorted(pattern.adj[order[head]]) if w not in order]
                 head += 1
-            order.extend(bfs)
 
         index_of = {v: i for i, v in enumerate(order)}
         self.pattern_n = pattern.n
@@ -82,12 +58,9 @@ class PatternCounter:
     def count(self, adj: Sequence[frozenset[int] | set[int]], degrees: Sequence[int]) -> int:
         nH = self.pattern_n
         nG = len(adj)
-        if nH == 0:
-            return 1
         if nH > nG:
             return 0
-        parents = self.parents
-        mindeg = self.mindeg
+        parents, mindeg = self.parents, self.mindeg
         used = [False] * nG
         images = [0] * nH
 
@@ -101,29 +74,116 @@ class PatternCounter:
                 cands = adj[images[ps[0]]]
                 for p in ps[1:]:
                     cands = cands & adj[images[p]]
-                for v in cands:
-                    if used[v] or degrees[v] < need:
-                        continue
-                    used[v] = True
-                    images[i] = v
-                    total += extend(i + 1)
-                    used[v] = False
             else:
-                for v in range(nG):
-                    if used[v] or degrees[v] < need:
-                        continue
-                    used[v] = True
-                    images[i] = v
-                    total += extend(i + 1)
-                    used[v] = False
+                cands = range(nG)
+            for v in cands:
+                if used[v] or degrees[v] < need:
+                    continue
+                used[v] = True
+                images[i] = v
+                total += extend(i + 1)
+                used[v] = False
             return total
 
         return extend(0)
 
 
+BASIS_MAX_VERTICES = 8  # Bell(8) = 4140 partitions
+
+
+def _hom(F: Graph, G: Graph) -> int | None:
+    """hom(F, G) by variable elimination in min-degree order, None if stuck.
+
+    F-vertices carry weight vectors over V(G), linked pairs a sparse table
+    or, for an edge of F, G's adjacency. Two links of an eliminated vertex
+    become a weighted codegree table, in O(sum of squared degrees) for two
+    adjacency links, so those go first among ties; three links are stuck.
+    """
+    weight = {z: [1] * G.n for z in range(F.n)}
+    adjacency = [dict.fromkeys(nb, 1) for nb in G.adj]
+    # tables[x, y], x < y: per image a of x, b -> f(a, b) for the x-y factor f, nonzero entries only
+    tables = {edge: adjacency for edge in F.edges}
+
+    def links(z: int) -> list[int]:
+        return sorted(x + y - z for x, y in tables if z in (x, y))
+
+    def rows(x: int, y: int) -> list[dict[int, int]]:
+        T = tables[min(x, y), max(x, y)]
+        if x < y or T is adjacency:
+            return T
+        flipped: list[dict[int, int]] = [{} for _ in T]
+        for a, r in enumerate(T):
+            for b, t in r.items():
+                flipped[b][a] = t
+        return flipped
+
+    total = 1
+    while weight:
+        v = min(weight, key=lambda z: (
+            len(links(z)), any(tables[min(u, z), max(u, z)] is not adjacency for u in links(z)), z))
+        wv, ends = weight.pop(v), links(v)
+        if not ends:
+            total *= sum(wv)
+        elif len(ends) == 1:
+            x = ends[0]
+            weight[x] = [w * sum(t * wv[b] for b, t in r.items())
+                         for w, r in zip(weight[x], rows(x, v))]
+        elif len(ends) == 2:
+            x, y = ends
+            keep, right = tables.get((x, y)), rows(v, y)
+            # an x-y table is overwritten row by row, so that only one table is held at a time
+            R = keep if keep is not None and keep is not adjacency else [{} for _ in range(G.n)]
+            for a, left in enumerate(rows(x, v)):
+                r: dict[int, int] = defaultdict(int)
+                for b, f in left.items():
+                    s = f * wv[b]
+                    for c, g in right[b].items():
+                        r[c] += s * g
+                R[a] = r if keep is None else {c: r[c] * t for c, t in keep[a].items() if c in r}
+            tables[x, y] = R
+        else:
+            return None
+        for u in ends:
+            del tables[min(u, v), max(u, v)]
+    return total
+
+
+@lru_cache(maxsize=64)
+def _hom_basis(H: Graph) -> tuple[tuple[Graph, int], ...] | None:
+    """Quotients F = H/pi with summed mu, so inj_homs(H, G) = sum of mu * hom(F, G).
+
+    pi runs over the partitions of V(H) into independent sets, with
+    mu(pi) = prod over blocks B of (-1)^(|B|-1) (|B|-1)!. None above
+    BASIS_MAX_VERTICES or if _hom gets stuck on a quotient (dry run).
+    """
+    if H.n > BASIS_MAX_VERTICES:
+        return None
+    coeff: dict[Graph, int] = defaultdict(int)
+
+    def extend(block_of: tuple[int, ...], k: int, mu: int) -> None:
+        """Place vertex len(block_of) in one of the k blocks so far or a new one."""
+        v = len(block_of)
+        if v == H.n:
+            coeff[Graph(k, {tuple(sorted((block_of[u], block_of[w]))) for u, w in H.edges})] += mu
+            return
+        for i in set(range(k)) - {block_of[u] for u in H.adj[v] if u < v}:
+            extend(block_of + (i,), k, -mu * block_of.count(i))
+        extend(block_of + (k,), k + 1, mu)
+
+    extend((), 0, 1)
+    return None if any(_hom(F, Graph(0)) is None for F in coeff) else tuple(coeff.items())
+
+
 def inj_homs(H: Graph, G: Graph) -> int:
-    """Number of injective vertex maps H -> G carrying edges to edges."""
-    return PatternCounter(H).count(G.adj, G.degrees)
+    """Number of injective vertex maps H -> G carrying edges to edges.
+
+    Summed over H's homomorphism basis (Curticapean, Dell and Marx, STOC
+    2017) when there is one, else counted by PatternCounter.
+    """
+    terms = _hom_basis(H)
+    if terms is None:
+        return PatternCounter(H).count(G.adj, G.degrees)
+    return sum(mu * _hom(F, G) for F, mu in terms)
 
 
 def automorphism_count(H: Graph) -> int:
@@ -131,9 +191,9 @@ def automorphism_count(H: Graph) -> int:
 
     An injective edge-preserving self-map is a bijection, and with equal
     edge counts it maps the edge set onto itself, so non-adjacency is
-    preserved automatically and inj_homs(H, H) is exactly the group order.
+    preserved automatically and PatternCounter(H) counts exactly the group.
     """
-    return inj_homs(H, H)
+    return PatternCounter(H).count(H.adj, H.degrees)
 
 
 def count_copies(H: Graph, G: Graph) -> int:
@@ -148,47 +208,12 @@ def count_copies(H: Graph, G: Graph) -> int:
 def count_star_matching_pairs(G: Graph, k: int, m: int) -> int:
     """Vertex-disjoint pairs of a k-leaf star and an m-edge matching.
 
-    Stars are (center, leaf set) choices; matchings are edge sets. The
-    matchings avoiding the star are counted by recursive edge inclusion
-    over the edge list, with a direct scan for the final edge.
+    Stars are (center, leaf set) choices; matchings are edge sets. Each
+    pair is k! m! 2^m injective homomorphisms of S_k plus m disjoint edges.
     """
     if k < 1:
         raise ValueError(f"leaf count must be at least 1, got {k}")
     if m < 0:
         raise ValueError(f"matching size must be non-negative, got {m}")
-    edges = G.sorted_edges()
-    ecount = len(edges)
-    used = bytearray(G.n)
-
-    def matchings(start: int, need: int) -> int:
-        if need == 0:
-            return 1
-        if need == 1:
-            return sum(
-                1 for idx in range(start, ecount)
-                if not used[edges[idx][0]] and not used[edges[idx][1]]
-            )
-        total = 0
-        for idx in range(start, ecount - need + 1):
-            u, v = edges[idx]
-            if used[u] or used[v]:
-                continue
-            used[u] = used[v] = 1
-            total += matchings(idx + 1, need - 1)
-            used[u] = used[v] = 0
-        return total
-
-    total = 0
-    neighbor_lists = [sorted(s) for s in G.adj]
-    for center in range(G.n):
-        if G.degrees[center] < k:
-            continue
-        for leaves in combinations(neighbor_lists[center], k):
-            used[center] = 1
-            for w in leaves:
-                used[w] = 1
-            total += matchings(0, m)
-            used[center] = 0
-            for w in leaves:
-                used[w] = 0
-    return total
+    pattern = disjoint_union(star_graph(k), *[path_graph(2)] * m)
+    return inj_homs(pattern, G) // (factorial(k) * factorial(m) * 2**m)

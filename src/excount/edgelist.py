@@ -8,6 +8,8 @@ from __future__ import annotations
 import os
 from .graphs import Graph, GraphError, make_graph
 
+MAX_VERTICES = 10**6
+
 
 def parse_edgelist(text: str) -> Graph:
     tokens: list[list[str]] = []
@@ -25,6 +27,8 @@ def parse_edgelist(text: str) -> Graph:
         n, e = int(header[0]), int(header[1])
     except ValueError as exc:
         raise GraphError(f"bad header {' '.join(header)!r}: expected integers") from exc
+    if n > MAX_VERTICES:
+        raise GraphError(f"header vertex count {n} exceeds the limit {MAX_VERTICES}")
     body = tokens[1:]
     if len(body) != e:
         raise GraphError(f"header promises {e} edges but {len(body)} lines follow")

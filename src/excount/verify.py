@@ -17,6 +17,7 @@ from math import comb
 from .asymptotics import star_matching_pair_bound
 from .constructions import quasi_clique, quasi_complete_bipartite, quasi_star
 from .counting import (
+    PatternCounter,
     automorphism_count,
     count_copies,
     count_star_matching_pairs,
@@ -320,7 +321,7 @@ def check_star_matching_ratio(scale: str, seed: int) -> CheckResult:
 
 
 def check_counter_cross_validation(scale: str, seed: int) -> CheckResult:
-    """Degree-formula star counts agree with the backtracking counter."""
+    """Degree-formula star counts and the homomorphism basis agree with the backtracking counter."""
     count = 300 if scale == "full" else 100
     rng = random.Random(seed)
     failures = []
@@ -338,6 +339,8 @@ def check_counter_cross_validation(scale: str, seed: int) -> CheckResult:
         for H in patterns:
             if inj_homs(H, G) != count_copies(H, G) * automorphism_count(H):
                 failures.append(f"graph {idx}: hom identity fails")
+            if inj_homs(H, G) != PatternCounter(H).count(G.adj, G.degrees):
+                failures.append(f"graph {idx}: basis and backtracker disagree")
     return _result("counter-cross-validation", failures, f"{count} random graphs")
 
 

@@ -30,6 +30,12 @@ class TestEdgeList:
         with pytest.raises(GraphError, match="header"):
             parse_edgelist("three two\n")
 
+    def test_header_vertex_count_capped(self, monkeypatch):
+        monkeypatch.setattr("excount.edgelist.MAX_VERTICES", 5)
+        assert parse_edgelist("5 0\n").n == 5
+        with pytest.raises(GraphError, match="exceeds the limit 5"):
+            parse_edgelist("6 0\n")
+
 
 class TestReporting:
     def test_extremal_record_csv(self):
@@ -153,6 +159,26 @@ class TestCli:
         monkeypatch.setattr(verify, "CHECKS", (("1", failing),))
         assert main(["verify", "--scale", "quick"]) == 1
         assert "FAIL stub: broken" in capsys.readouterr().out.splitlines()
+
+    def test_oversized_header_reported_without_traceback(self, tmp_path):
+        import os
+        import pathlib
+
+        host = tmp_path / "host.txt"
+        host.write_text("1000000000 0\n")
+        src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-m", "excount.cli", "count", "--host", str(host),
+             "--kind", "stars", "--k", "2"],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: header vertex count 1000000000 exceeds")
+        assert "Traceback" not in proc.stderr
 
     def test_reproducible_output(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

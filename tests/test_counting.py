@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -8,6 +9,8 @@ from hypothesis import strategies as st
 
 from excount.constructions import quasi_complete_bipartite
 from excount.counting import (
+    PatternCounter,
+    _hom_basis,
     automorphism_count,
     count_copies,
     count_star_matching_pairs,
@@ -146,6 +149,51 @@ class TestCountCopies:
             assert joint <= inj_homs(H1, G) * inj_homs(H2, G)
 
 
+BASIS_PATTERNS = {
+    "P4": path_graph(4),
+    "P5": path_graph(5),
+    "C4": cycle_graph(4),
+    "C5": cycle_graph(5),
+    "K3": complete_graph(3),
+    "S3": star_graph(3),
+    "S2+K2": disjoint_union(star_graph(2), path_graph(2)),
+    "S2+2K2": disjoint_union(star_graph(2), path_graph(2), path_graph(2)),
+}
+# K4 has treewidth 3; the 9-vertex star exceeds the basis's pattern size.
+FALLBACK_PATTERNS = {"K4": complete_graph(4), "S8": star_graph(8)}
+
+
+class TestHomomorphismBasis:
+    @given(graphs_st(nmax=9), st.sampled_from(sorted(BASIS_PATTERNS)))
+    @settings(max_examples=120, deadline=None)
+    def test_basis_equals_backtracker(self, G, name):
+        H = BASIS_PATTERNS[name]
+        assert _hom_basis(H) is not None
+        assert inj_homs(H, G) == PatternCounter(H).count(G.adj, G.degrees)
+
+    @given(graphs_st(nmax=9), st.sampled_from(sorted(FALLBACK_PATTERNS)))
+    @settings(max_examples=40, deadline=None)
+    def test_fallback_patterns_agree(self, G, name):
+        H = FALLBACK_PATTERNS[name]
+        assert _hom_basis(H) is None
+        assert inj_homs(H, G) == PatternCounter(H).count(G.adj, G.degrees)
+
+    def test_empty_pattern_has_one_map(self):
+        assert inj_homs(Graph(0), complete_graph(3)) == 1
+
+    def test_tables_hold_only_nonzero_entries(self):
+        # A dense 3000 x 3000 codegree table would take over 70 MB.
+        G = path_graph(3000)
+        tracemalloc.start()
+        try:
+            assert inj_homs(cycle_graph(4), G) == 0
+            assert inj_homs(path_graph(4), G) == 2 * 2997
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
+
+
 def brute_star_matching_pairs(G: Graph, k: int, m: int) -> int:
     """Direct enumeration over (center, leaf set, edge subset) triples."""
     edges = G.sorted_edges()
@@ -194,6 +242,15 @@ class TestStarMatchingPairs:
                 for leaves in combinations(sorted(G.adj[c]), 2)
             )
             assert count_star_matching_pairs(G, 2, 1) == want == total
+
+    @given(graphs_st(nmax=9), st.integers(1, 3), st.integers(0, 2))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_brute_force(self, G, k, m):
+        assert count_star_matching_pairs(G, k, m) == brute_star_matching_pairs(G, k, m)
+
+    def test_largest_criterion_host_pinned(self):
+        G = quasi_complete_bipartite(120, math.ceil(120**1.5))
+        assert count_star_matching_pairs(G, 2, 1) == 89_392_488
 
     def test_brute_force_cross_check(self):
         rng = random.Random(13)
