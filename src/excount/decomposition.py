@@ -88,9 +88,7 @@ def star_partition(T: Graph) -> StarPartition:
             centers.append(center)
             continue
         v = min(u for u in verts if deg[u] >= 2)
-        u1 = min(
-            w for w in T.adj[v] & verts if len((T.adj[w] & verts) - {v}) >= 1
-        )
+        u1 = min(w for w in T.adj[v] & verts if deg[w] >= 2)
         side = {u1}
         queue = [u1]
         while queue:

@@ -245,13 +245,21 @@ class FerrersDiagram:
         return {(i + 1, j + 1) for i, a in enumerate(self.columns) for j in range(a)}
 
 
+def column_part(degrees: Sequence[int], P: Bipartition) -> frozenset[int]:
+    """The part that supplies a diagram's columns for these vertex degrees.
+
+    It is the part holding the highest-degree vertex, lowest label on a tie.
+    """
+    top = max(range(len(degrees)), key=lambda v: (degrees[v], -v), default=None)
+    return P.right if top in P.right else P.left
+
+
 def diagram_of(G: Graph, P: Bipartition, side: str = "auto") -> FerrersDiagram:
     """Ferrers diagram of a neighbor-nested bipartite graph.
 
     Columns are the sorted nonzero degrees of one part. With side="auto"
-    the part holding the overall maximum-degree vertex (lowest label on a
-    tie) supplies the columns; "left"/"right" force an orientation. The two
-    orientations yield mutually conjugate diagrams.
+    the part chosen by `column_part` supplies them; "left"/"right" force an
+    orientation. The two orientations yield mutually conjugate diagrams.
     """
     _check_bipartition(G, P)
     bad = nested_violation(G, P)
@@ -261,10 +269,7 @@ def diagram_of(G: Graph, P: Bipartition, side: str = "auto") -> FerrersDiagram:
             "have incomparable neighborhoods"
         )
     if side == "auto":
-        if G.edge_count == 0:
-            return FerrersDiagram(())
-        top = max(range(G.n), key=lambda v: (G.degrees[v], -v))
-        chosen = P.left if top in P.left else P.right
+        chosen = column_part(G.degrees, P)
     elif side == "left":
         chosen = P.left
     elif side == "right":

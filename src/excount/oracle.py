@@ -74,6 +74,12 @@ def _triangle_masks(n: int, pool: list[tuple[int, int]]) -> list[int]:
     return masks
 
 
+def _add_witness(kept: list[Graph], g: Graph, keep: int) -> None:
+    """Hold g unless keep witnesses are held or one of them is isomorphic to g."""
+    if len(kept) < keep and not any(are_isomorphic(g, w) for w in kept):
+        kept.append(g)
+
+
 def _scan_shard(
     n: int,
     pool: list[tuple[int, int]],
@@ -83,7 +89,7 @@ def _scan_shard(
     H: Graph,
     triangle_free_only: bool,
     keep: int,
-) -> tuple[int, list[tuple[tuple[int, int], ...]]]:
+) -> tuple[int, list[Graph]]:
     """Scan the ranks [start, stop) of one pool; return the local max and witnesses.
 
     The score is the injective homomorphism count of H: for a k-leaf star
@@ -103,8 +109,7 @@ def _scan_shard(
         lut = [perm(d, star_k) for d in range(n)]
 
     best = -1
-    wit_graphs: list[Graph] = []
-    wit_combos: list[tuple[tuple[int, int], ...]] = []
+    wits: list[Graph] = []
     for combo in islice(combinations(range(len(pool)), e), start, stop):
         if triangle_free_only:
             mask = 0
@@ -130,17 +135,10 @@ def _scan_shard(
                 adj[vs[i]].add(us[i])
             score = counter.count(adj, [len(s) for s in adj])
         if score > best:
-            best = score
-            host_edges = tuple(pool[i] for i in combo)
-            wit_graphs = [make_graph(n, host_edges)]
-            wit_combos = [host_edges]
-        elif score == best and len(wit_graphs) < keep:
-            host_edges = tuple(pool[i] for i in combo)
-            g = make_graph(n, host_edges)
-            if not any(are_isomorphic(g, w) for w in wit_graphs):
-                wit_graphs.append(g)
-                wit_combos.append(host_edges)
-    return (best, wit_combos)
+            best, wits = score, []
+        if score == best and len(wits) < keep:
+            _add_witness(wits, make_graph(n, [pool[i] for i in combo]), keep)
+    return (best, wits)
 
 
 def _sweep(
@@ -179,15 +177,10 @@ def _sweep(
     if best < 0:
         raise GraphError("enumeration produced no hosts")
     kept: list[Graph] = []
-    for score, combos in results:
-        if score != best:
-            continue
-        for edges in combos:
-            if len(kept) >= witnesses:
-                break
-            g = make_graph(n, edges)
-            if not any(are_isomorphic(g, w) for w in kept):
-                kept.append(g)
+    for score, wits in results:
+        if score == best:
+            for g in wits:
+                _add_witness(kept, g, witnesses)
     aut = automorphism_count(H)
     if best % aut:
         raise RuntimeError(f"injective hom count {best} not divisible by {aut} automorphisms")

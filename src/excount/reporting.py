@@ -93,6 +93,8 @@ def emit_report(
         rows.extend(record_rows)
     if kind is None:
         raise ValueError("record kind is required for an empty report")
+    if kind not in _COLUMNS:
+        raise ValueError(f"unknown record kind {kind!r}: expected extremal, trace or scan")
     columns = _COLUMNS[kind]
     if format == "csv":
         out = io.StringIO()

@@ -22,9 +22,9 @@ from .graphs import (
     Graph,
     GraphError,
     bipartition_of,
+    column_part,
     conjugate,
     diagram_of,
-    empty_graph,
     make_graph,
     realize_diagram,
 )
@@ -72,21 +72,21 @@ def total_weight(D: FerrersDiagram, k: int) -> int:
     """Sum of cell weights: equals the k-star count of the realized graph."""
     if k < 2:
         raise ValueError(f"leaf count must be at least 2, got {k}")
-    return sum(comb(a, k) for a in D.columns) + sum(comb(b, k) for b in D.rows)
+    return _stars(D.columns + D.rows, k)
 
 
 def _stars(degrees, k: int) -> int:
     return sum(comb(d, k) for d in degrees)
 
 
-def _column_snapshot(degrees, P: Bipartition) -> tuple[int, ...]:
-    """Sorted nonzero degrees of the side holding the maximum-degree vertex."""
-    n = len(degrees)
-    if n == 0 or max(degrees) == 0:
-        return ()
-    top = max(range(n), key=lambda v: (degrees[v], -v))
-    side = P.left if top in P.left else P.right
-    return tuple(sorted((degrees[v] for v in side if degrees[v] > 0), reverse=True))
+def _record(trace: Trace, kind: str, degrees, columns, moved: int = 0) -> None:
+    """Append the state with this degree multiset and these columns to trace.
+
+    During the shift phase the degrees are the vertex degrees; on a diagram
+    they are its columns plus its rows.
+    """
+    entry = TraceEntry(kind, _stars(degrees, trace.k), _stars(degrees, 2), columns, moved)
+    trace.entries.append(entry)
 
 
 def shift_to_nested(G: Graph, P: Bipartition, k: int) -> tuple[Graph, Trace]:
@@ -102,29 +102,27 @@ def shift_to_nested(G: Graph, P: Bipartition, k: int) -> tuple[Graph, Trace]:
         raise ValueError(f"leaf count must be at least 2, got {k}")
     adj = [set(s) for s in G.adj]
     deg = list(G.degrees)
-    sides = (sorted(P.left), sorted(P.right))
     trace = Trace(k)
-    trace.entries.append(
-        TraceEntry("start", _stars(deg, k), _stars(deg, 2), _column_snapshot(deg, P))
-    )
-    e = G.edge_count
-    limit = comb(e, 2) + 1
+
+    def record(kind: str, moved: int = 0) -> None:
+        columns = sorted((deg[v] for v in column_part(deg, P) if deg[v]), reverse=True)
+        _record(trace, kind, deg, tuple(columns), moved)
 
     def find_move() -> tuple[int, int, int] | None:
-        everyone = sorted(range(G.n), key=lambda v: (deg[v], v))
-        for x in everyone:
+        ranked = [sorted(part, key=lambda v: (-deg[v], v)) for part in (P.left, P.right)]
+        for x in sorted(range(G.n), key=lambda v: (deg[v], v)):
             if deg[x] == 0:
                 continue
-            side = sides[0] if x in P.left else sides[1]
-            for y in sorted(side, key=lambda v: (-deg[v], v)):
-                if y == x or deg[y] < deg[x]:
-                    continue
+            for y in ranked[P.side_of(x)]:
+                if deg[y] < deg[x]:
+                    break
                 extra = adj[x] - adj[y]
                 if extra:
                     return (x, y, min(extra))
         return None
 
-    for _ in range(limit + 1):
+    record("start")
+    for _ in range(comb(G.edge_count, 2) + 2):
         move = find_move()
         if move is None:
             break
@@ -135,17 +133,9 @@ def shift_to_nested(G: Graph, P: Bipartition, k: int) -> tuple[Graph, Trace]:
         adj[z].add(y)
         deg[x] -= 1
         deg[y] += 1
-        trace.entries.append(
-            TraceEntry(
-                "shift",
-                _stars(deg, k),
-                _stars(deg, 2),
-                _column_snapshot(deg, P),
-                moved=1,
-            )
-        )
+        record("shift", moved=1)
     else:
-        raise AssertionError("shift phase exceeded its C(e,2) termination bound")
+        raise RuntimeError("shift phase exceeded its C(e,2) termination bound")
 
     nested = make_graph(G.n, ((u, v) for u in range(G.n) for v in adj[u] if u < v))
     return nested, trace
@@ -220,40 +210,21 @@ def run_transformation(G: Graph, k: int, n: int | None = None) -> tuple[Graph, T
     P = bipartition_of(G)
     if P is None:
         raise GraphError("graph is not bipartite")
-    e = G.edge_count
     nested, trace = shift_to_nested(G, P, k)
-    if e == 0:
-        return empty_graph(n), trace
     D = diagram_of(nested, P)
-    for _ in range(e * n + 2):
+    for _ in range(G.edge_count * n + 2):
         folded = durfee_fold(D)
         if folded.columns != D.columns:
             moved = sum(a - folded.height for a in D.columns if a > folded.height)
-            trace.entries.append(
-                TraceEntry(
-                    "step1",
-                    total_weight(folded, k),
-                    total_weight(folded, 2),
-                    folded.columns,
-                    moved=moved,
-                )
-            )
+            _record(trace, "step1", folded.columns + folded.rows, folded.columns, moved)
             D = folded
         packed = top_row_pack(D, n)
         if packed is None:
             break
         old_rows, new_rows = D.rows, packed.rows
         moved = old_rows[-1] - (new_rows[-1] if len(new_rows) == len(old_rows) else 0)
-        trace.entries.append(
-            TraceEntry(
-                "step2",
-                total_weight(packed, k),
-                total_weight(packed, 2),
-                packed.columns,
-                moved=moved,
-            )
-        )
+        _record(trace, "step2", packed.columns + new_rows, packed.columns, moved)
         D = packed
     else:
-        raise AssertionError("diagram rewrite exceeded its termination bound")
+        raise RuntimeError("diagram rewrite exceeded its termination bound")
     return realize_diagram(D, n), trace

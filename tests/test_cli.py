@@ -72,6 +72,10 @@ class TestReporting:
         with pytest.raises(TypeError):
             emit_report([rec, scan])
 
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="extremal, trace or scan"):
+            emit_report([], kind="bogus")
+
 
 class TestCli:
     def test_construct_to_stdout(self, capsys):

@@ -154,6 +154,12 @@ class TestDiagram:
         with pytest.raises(GraphError, match="incomparable"):
             diagram_of(g, P)
 
+    def test_auto_side_breaks_degree_ties_by_lowest_label(self):
+        g = realize_diagram(FerrersDiagram((3, 3, 1)), 6)
+        flipped = make_graph(6, [(5 - u, 5 - v) for u, v in g.edges])
+        assert diagram_of(g, bipartition_of(g)).columns == (3, 3, 1)
+        assert diagram_of(flipped, bipartition_of(flipped)).columns == (3, 2, 2)
+
     def test_two_sides_are_conjugate(self):
         g = make_graph(
             8,

@@ -2,6 +2,8 @@ import random
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from excount.constructions import quasi_complete_bipartite
 from excount.counting import count_stars
@@ -13,6 +15,7 @@ from excount.graphs import (
     complete_bipartite,
     conjugate,
     cycle_graph,
+    diagram_of,
     empty_graph,
     make_graph,
     nested_violation,
@@ -77,6 +80,16 @@ def pack_cells(cols, n):
 
 def cells_of(cols):
     return FerrersDiagram(cols).cells()
+
+
+@st.composite
+def bipartite_hosts(draw, nmax=11):
+    """Random bipartite graph with its two parts scattered over the labels."""
+    n = draw(st.integers(2, nmax))
+    p = draw(st.integers(1, n // 2))
+    label = draw(st.permutations(range(n)))
+    pairs = [(label[a], label[b]) for a in range(p) for b in range(p, n)]
+    return make_graph(n, draw(st.lists(st.sampled_from(pairs), unique=True)))
 
 
 class TestCellWeight:
@@ -315,3 +328,21 @@ class TestRunTransformation:
                 target = quasi_complete_bipartite(n, g.edge_count)
                 assert count_stars(endpoint, k) == count_stars(target, k)
                 assert trace.entries[-1].stars_k == count_stars(target, k)
+
+
+class TestRewriteProperties:
+    @given(bipartite_hosts(), st.integers(2, 5))
+    @settings(max_examples=80, deadline=None)
+    def test_trace_monotone_and_endpoint_extremal(self, g, k):
+        P = bipartition_of(g)
+        nested, shift_trace = shift_to_nested(g, P, k)
+        assert shift_trace.entries[-1].columns == diagram_of(nested, P).columns
+        endpoint, trace = run_transformation(g, k)
+        assert trace.entries[: len(shift_trace.entries)] == shift_trace.entries
+        for prev, cur in zip(trace.entries, trace.entries[1:]):
+            assert cur.stars_k >= prev.stars_k
+            if cur.kind == "shift":
+                assert cur.stars_2 > prev.stars_2
+        assert all(sum(t.columns) == g.edge_count for t in trace.entries)
+        assert trace.entries[-1].stars_k == count_stars(endpoint, k)
+        assert are_isomorphic(endpoint, quasi_complete_bipartite(g.n, g.edge_count))
