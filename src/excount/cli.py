@@ -15,7 +15,8 @@ from .counting import count_copies, count_stars, inj_homs
 from .decomposition import edge_star_cover, star_factor_profile, star_partition, spanning_tree
 from .edgelist import format_edgelist, read_edgelist
 from .graphs import GraphError
-from .oracle import EnumerationBudgetError, ex_bip_oracle, ex_oracle, ex_trifree_oracle
+from .oracle import DEFAULT_BUDGET, DEFAULT_WITNESSES, EnumerationBudgetError
+from .oracle import ex_bip_oracle, ex_oracle, ex_trifree_oracle
 from .reporting import emit_report
 from .transform import run_transformation
 from .verify import run_verify_suite
@@ -176,8 +177,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--e", type=int, required=True)
     p.add_argument("--pattern", required=True)
     p.add_argument("--class", dest="host_class", choices=sorted(_ORACLES), default="all")
-    p.add_argument("--budget", type=int, default=10**8)
-    p.add_argument("--witnesses", type=int, default=3)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--witnesses", type=int, default=DEFAULT_WITNESSES)
     p.add_argument("--csv", default=None)
     p.set_defaults(func=_cmd_oracle)
 

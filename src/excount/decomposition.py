@@ -28,37 +28,29 @@ class EdgeStarCover:
     star: tuple[int, frozenset[int]] | None
 
 
+def _bfs_edges(H: Graph) -> tuple[list[tuple[int, int]], list[bool]]:
+    """BFS from vertex 0, neighbors in label order: tree edges and reached flags."""
+    seen = [False] * H.n
+    seen[0] = True
+    queue = [0]
+    edges = []
+    for u in queue:
+        for w in sorted(H.adj[u]):
+            if not seen[w]:
+                seen[w] = True
+                edges.append((u, w))
+                queue.append(w)
+    return edges, seen
+
+
 def spanning_tree(H: Graph) -> Graph:
     """BFS tree from vertex 0; rejects disconnected input."""
     if H.n == 0:
         raise GraphError("graph has no vertices")
-    parent_edges = []
-    seen = [False] * H.n
-    seen[0] = True
-    queue = [0]
-    head = 0
-    while head < len(queue):
-        u = queue[head]
-        head += 1
-        for w in sorted(H.adj[u]):
-            if not seen[w]:
-                seen[w] = True
-                parent_edges.append((u, w))
-                queue.append(w)
-    if not all(seen):
-        missing = seen.index(False)
-        raise GraphError(f"graph is disconnected: vertex {missing} unreachable from 0")
-    return make_graph(H.n, parent_edges)
-
-
-def _is_tree(T: Graph) -> bool:
-    if T.edge_count != T.n - 1:
-        return False
-    try:
-        spanning_tree(T)
-    except GraphError:
-        return False
-    return True
+    edges, seen = _bfs_edges(H)
+    if len(edges) != H.n - 1:
+        raise GraphError(f"graph is disconnected: vertex {seen.index(False)} unreachable from 0")
+    return make_graph(H.n, edges)
 
 
 def star_partition(T: Graph) -> StarPartition:
@@ -72,7 +64,7 @@ def star_partition(T: Graph) -> StarPartition:
     """
     if T.n < 2:
         raise GraphError(f"star partition needs at least 2 vertices, got {T.n}")
-    if not _is_tree(T):
+    if T.edge_count != T.n - 1 or len(_bfs_edges(T)[0]) != T.n - 1:
         raise GraphError("input is not a tree")
 
     parts: list[frozenset[int]] = []

@@ -193,13 +193,11 @@ def nested_violation(G: Graph, P: Bipartition) -> tuple[int, int] | None:
 
 def conjugate(partition: Sequence[int]) -> tuple[int, ...]:
     """Conjugate partition: entry j counts parts of size at least j+1."""
-    parts = [p for p in partition if p > 0]
     if any(p < 0 for p in partition):
         raise ValueError("partition entries must be non-negative")
-    if not parts:
-        return ()
-    widest = max(parts)
-    return tuple(sum(1 for p in parts if p >= j) for j in range(1, widest + 1))
+    return tuple(
+        sum(1 for p in partition if p >= j) for j in range(1, max(partition, default=0) + 1)
+    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -254,12 +252,11 @@ def column_part(degrees: Sequence[int], P: Bipartition) -> frozenset[int]:
     return P.right if top in P.right else P.left
 
 
-def diagram_of(G: Graph, P: Bipartition, side: str = "auto") -> FerrersDiagram:
+def diagram_of(G: Graph, P: Bipartition) -> FerrersDiagram:
     """Ferrers diagram of a neighbor-nested bipartite graph.
 
-    Columns are the sorted nonzero degrees of one part. With side="auto"
-    the part chosen by `column_part` supplies them; "left"/"right" force an
-    orientation. The two orientations yield mutually conjugate diagrams.
+    Columns are the sorted nonzero degrees of the part chosen by
+    `column_part`; the other part's sorted nonzero degrees are the rows.
     """
     _check_bipartition(G, P)
     bad = nested_violation(G, P)
@@ -268,14 +265,7 @@ def diagram_of(G: Graph, P: Bipartition, side: str = "auto") -> FerrersDiagram:
             f"graph is not neighbor-nested: vertices {bad[0]} and {bad[1]} "
             "have incomparable neighborhoods"
         )
-    if side == "auto":
-        chosen = column_part(G.degrees, P)
-    elif side == "left":
-        chosen = P.left
-    elif side == "right":
-        chosen = P.right
-    else:
-        raise ValueError(f"side must be auto, left or right, got {side!r}")
+    chosen = column_part(G.degrees, P)
     heights = sorted((G.degrees[v] for v in chosen if G.degrees[v] > 0), reverse=True)
     return FerrersDiagram(tuple(heights))
 

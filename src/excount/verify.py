@@ -24,6 +24,7 @@ from .counting import (
     count_stars,
     inj_homs,
 )
+from .decomposition import star_partition
 from .graphs import Graph, are_isomorphic, complete_graph, make_graph, path_graph, star_graph
 from .oracle import EnumerationBudgetError, ex_bip_oracle, ex_oracle, ex_trifree_oracle
 from .transform import cell_weight, run_transformation
@@ -171,8 +172,6 @@ def _tree_from_pruefer(seq: tuple[int, ...], n: int) -> list[tuple[int, int]]:
 
 
 def _star_partition_violation(T: Graph) -> str | None:
-    from .decomposition import star_partition
-
     sp = star_partition(T)
     covered: set[int] = set()
     for part, center in zip(sp.parts, sp.centers):
@@ -337,9 +336,10 @@ def check_counter_cross_validation(scale: str, seed: int) -> CheckResult:
         if count_stars(G, 1) != 2 * G.edge_count:
             failures.append(f"graph {idx}: 1-leaf star count is not 2e")
         for H in patterns:
-            if inj_homs(H, G) != count_copies(H, G) * automorphism_count(H):
+            homs = inj_homs(H, G)
+            if homs != count_copies(H, G) * automorphism_count(H):
                 failures.append(f"graph {idx}: hom identity fails")
-            if inj_homs(H, G) != PatternCounter(H).count(G.adj, G.degrees):
+            if homs != PatternCounter(H).count(G.adj, G.degrees):
                 failures.append(f"graph {idx}: basis and backtracker disagree")
     return _result("counter-cross-validation", failures, f"{count} random graphs")
 

@@ -3,14 +3,32 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from excount.asymptotics import crossover_scan
 from excount.edgelist import format_edgelist, parse_edgelist
 from excount.graphs import GraphError, complete_bipartite, make_graph, path_graph
-from excount.oracle import ex_bip_oracle
+from excount.oracle import DEFAULT_BUDGET, DEFAULT_WITNESSES, ex_bip_oracle
 from excount.reporting import emit_report
 from excount.transform import run_transformation
-from excount.cli import main
+from excount.cli import build_parser, main
+
+
+@st.composite
+def canonical_edgelists(draw, nmax=12):
+    n = draw(st.integers(0, nmax))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = sorted(draw(st.sets(st.sampled_from(pairs))) if pairs else ())
+    return f"{n} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges)
+
+
+# header values stay small: any n up to MAX_VERTICES is taken as given
+_GARBAGE_TOKENS = st.one_of(
+    st.integers(-3, 12).map(str),
+    st.sampled_from(["#", "# c", "x", "1.5", "0x1", "1e2", "--", "\u0661", "\x00"]),
+)
+_GARBAGE_LINES = st.lists(_GARBAGE_TOKENS, max_size=4).map(" ".join)
 
 
 class TestEdgeList:
@@ -29,6 +47,22 @@ class TestEdgeList:
     def test_bad_header(self):
         with pytest.raises(GraphError, match="header"):
             parse_edgelist("three two\n")
+
+    @given(canonical_edgelists())
+    @settings(max_examples=80, deadline=None)
+    def test_round_trip_both_ways(self, text):
+        g = parse_edgelist(text)
+        assert format_edgelist(g) == text
+        assert parse_edgelist(format_edgelist(g)) == g
+
+    @given(st.lists(_GARBAGE_LINES, max_size=6).map("\n".join))
+    @settings(max_examples=200, deadline=None)
+    def test_garbage_parses_or_raises_graph_error(self, text):
+        try:
+            g = parse_edgelist(text)
+        except GraphError:
+            return
+        assert parse_edgelist(format_edgelist(g)) == g
 
     def test_header_vertex_count_capped(self, monkeypatch):
         monkeypatch.setattr("excount.edgelist.MAX_VERTICES", 5)
@@ -138,6 +172,10 @@ class TestCli:
                      "--class", "bipartite", "--csv", str(out)]) == 0
         assert "maximum: 36" in capsys.readouterr().out
         assert out.read_text().splitlines()[1].startswith("8,12,bipartite,36,")
+
+    def test_oracle_defaults_are_the_library_defaults(self):
+        args = build_parser().parse_args(["oracle", "--n", "4", "--e", "3", "--pattern", "p"])
+        assert (args.budget, args.witnesses) == (DEFAULT_BUDGET, DEFAULT_WITNESSES)
 
     def test_scan_crossover_csv(self, tmp_path, capsys):
         out = tmp_path / "scan.csv"

@@ -248,6 +248,20 @@ class TestStarMatchingPairs:
     def test_matches_brute_force(self, G, k, m):
         assert count_star_matching_pairs(G, k, m) == brute_star_matching_pairs(G, k, m)
 
+    def test_backtracker_path_matches_brute_force(self):
+        # S_2 plus three disjoint edges has 9 vertices, past the basis size
+        # cap, so these counts run on PatternCounter
+        assert _hom_basis(disjoint_union(star_graph(2), *[path_graph(2)] * 3)) is None
+        rng = random.Random(5)
+        counts = []
+        for _ in range(6):
+            n = rng.randint(9, 10)
+            pool = list(combinations(range(n), 2))
+            G = make_graph(n, rng.sample(pool, rng.randint(9, 15)))
+            counts.append(count_star_matching_pairs(G, 2, 3))
+            assert counts[-1] == brute_star_matching_pairs(G, 2, 3)
+        assert any(counts)
+
     def test_largest_criterion_host_pinned(self):
         G = quasi_complete_bipartite(120, math.ceil(120**1.5))
         assert count_star_matching_pairs(G, 2, 1) == 89_392_488

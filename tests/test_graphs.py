@@ -166,9 +166,13 @@ class TestDiagram:
             [(i, j) for i in range(3) for j in range(3, 8) if (i, j) not in {(0, 6), (0, 7)}],
         )
         P = bipartition_of(g)
-        left = diagram_of(g, P, side="left")
-        right = diagram_of(g, P, side="right")
-        assert conjugate(left.columns) == right.columns
+        D = diagram_of(g, P)
+
+        def heights(part):
+            return tuple(sorted((g.degrees[v] for v in part if g.degrees[v]), reverse=True))
+
+        assert D.columns == heights(P.left) == (5, 5, 3)
+        assert D.rows == heights(P.right) == (3, 3, 3, 2, 2)
 
     def test_realize_k26(self):
         g = realize_diagram(FerrersDiagram((6, 6)), 8)

@@ -4,7 +4,7 @@ from math import comb
 import pytest
 
 import excount.oracle as oracle
-from excount.constructions import quasi_clique, quasi_complete_bipartite
+from excount.constructions import quasi_clique, quasi_complete_bipartite, quasi_star
 from excount.counting import count_copies
 from excount.graphs import (
     are_isomorphic,
@@ -173,6 +173,23 @@ class TestExTrifreeOracle:
         rec = ex_trifree_oracle(5, 5, star_graph(2))
         for w in rec.witnesses:
             assert is_triangle_free(w)
+
+
+class TestOraclesDominateConstructions:
+    @pytest.mark.parametrize(
+        "H", [star_graph(2), path_graph(4), complete_graph(3), cycle_graph(4)],
+        ids=["S2", "P4", "K3", "C4"],
+    )
+    def test_maxima_at_least_the_construction_counts(self, H):
+        for n in range(1, 6):
+            for e in range(comb(n, 2) + 1):
+                best = ex_oracle(n, e, H).maximum
+                assert best >= count_copies(H, quasi_clique(n, e)), (n, e)
+                assert best >= count_copies(H, quasi_star(n, e)), (n, e)
+            for e in range(n * n // 4 + 1):
+                bip = count_copies(H, quasi_complete_bipartite(n, e))
+                assert ex_bip_oracle(n, e, H).maximum >= bip, (n, e)
+                assert ex_trifree_oracle(n, e, H).maximum >= bip, (n, e)
 
 
 class TestNonmonotonicity:
