@@ -52,11 +52,11 @@ def _cmd_count(args) -> int:
     host = read_edgelist(args.host)
     if args.kind == "stars":
         if args.k is None:
-            raise SystemExit("count --kind stars requires --k")
+            raise ValueError("count --kind stars requires --k")
         print(count_stars(host, args.k))
         return 0
     if args.pattern is None:
-        raise SystemExit(f"count --kind {args.kind} requires --pattern")
+        raise ValueError(f"count --kind {args.kind} requires --pattern")
     pattern = read_edgelist(args.pattern)
     value = count_copies(pattern, host) if args.kind == "copies" else inj_homs(pattern, host)
     print(value)
@@ -200,7 +200,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (GraphError, EnumerationBudgetError, ValueError) as exc:
+    except (GraphError, EnumerationBudgetError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

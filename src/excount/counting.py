@@ -11,7 +11,7 @@ from functools import lru_cache
 from math import comb, factorial
 from typing import Sequence
 
-from .graphs import Graph, disjoint_union, path_graph, star_graph
+from .graphs import Graph, bfs, disjoint_union, path_graph, star_graph
 
 
 def count_stars(G: Graph, k: int) -> int:
@@ -37,15 +37,7 @@ class PatternCounter:
     __slots__ = ("pattern_n", "order", "parents", "mindeg")
 
     def __init__(self, pattern: Graph):
-        order: list[int] = []
-        for root in sorted(range(pattern.n), key=lambda v: (-pattern.degrees[v], v)):
-            head = len(order)
-            if root not in order:
-                order.append(root)
-            while head < len(order):
-                order += [w for w in sorted(pattern.adj[order[head]]) if w not in order]
-                head += 1
-
+        order = bfs(pattern, sorted(range(pattern.n), key=lambda v: (-pattern.degrees[v], v)))[0]
         index_of = {v: i for i, v in enumerate(order)}
         self.pattern_n = pattern.n
         self.order = tuple(order)

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .graphs import Graph, GraphError, make_graph
+from .graphs import Graph, GraphError, bfs, make_graph
 
 
 @dataclass(frozen=True, slots=True)
@@ -28,29 +28,14 @@ class EdgeStarCover:
     star: tuple[int, frozenset[int]] | None
 
 
-def _bfs_edges(H: Graph) -> tuple[list[tuple[int, int]], list[bool]]:
-    """BFS from vertex 0, neighbors in label order: tree edges and reached flags."""
-    seen = [False] * H.n
-    seen[0] = True
-    queue = [0]
-    edges = []
-    for u in queue:
-        for w in sorted(H.adj[u]):
-            if not seen[w]:
-                seen[w] = True
-                edges.append((u, w))
-                queue.append(w)
-    return edges, seen
-
-
 def spanning_tree(H: Graph) -> Graph:
     """BFS tree from vertex 0; rejects disconnected input."""
     if H.n == 0:
         raise GraphError("graph has no vertices")
-    edges, seen = _bfs_edges(H)
-    if len(edges) != H.n - 1:
-        raise GraphError(f"graph is disconnected: vertex {seen.index(False)} unreachable from 0")
-    return make_graph(H.n, edges)
+    order, parent = bfs(H, [0])
+    if len(order) != H.n:
+        raise GraphError(f"graph is disconnected: vertex {parent.index(None)} unreachable from 0")
+    return make_graph(H.n, ((parent[v], v) for v in order[1:]))
 
 
 def star_partition(T: Graph) -> StarPartition:
@@ -64,7 +49,7 @@ def star_partition(T: Graph) -> StarPartition:
     """
     if T.n < 2:
         raise GraphError(f"star partition needs at least 2 vertices, got {T.n}")
-    if T.edge_count != T.n - 1 or len(_bfs_edges(T)[0]) != T.n - 1:
+    if T.edge_count != T.n - 1 or len(bfs(T, [0])[0]) != T.n:
         raise GraphError("input is not a tree")
 
     parts: list[frozenset[int]] = []

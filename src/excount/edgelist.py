@@ -1,7 +1,8 @@
 """Plain-text edge-list format shared by every CLI command.
 
 First non-comment line is "n e", followed by e lines "u v" with 0-based
-labels. Blank lines and lines starting with '#' are ignored.
+labels, every number written in plain ASCII decimal digits. Blank lines
+and lines starting with '#' are ignored.
 """
 from __future__ import annotations
 
@@ -9,6 +10,13 @@ import os
 from .graphs import Graph, GraphError, make_graph
 
 MAX_VERTICES = 10**6
+
+
+def _label(tok: str) -> int:
+    """A plain ASCII decimal: no sign, underscore or digit from another script."""
+    if not (tok.isascii() and tok.isdigit()):
+        raise ValueError(f"{tok!r} is not a plain decimal")
+    return int(tok)
 
 
 def parse_edgelist(text: str) -> Graph:
@@ -24,9 +32,9 @@ def parse_edgelist(text: str) -> Graph:
     if len(header) != 2:
         raise GraphError(f"bad header {' '.join(header)!r}: expected 'n e'")
     try:
-        n, e = int(header[0]), int(header[1])
+        n, e = _label(header[0]), _label(header[1])
     except ValueError as exc:
-        raise GraphError(f"bad header {' '.join(header)!r}: expected integers") from exc
+        raise GraphError(f"bad header {' '.join(header)!r}: expected plain decimal integers") from exc
     if n > MAX_VERTICES:
         raise GraphError(f"header vertex count {n} exceeds the limit {MAX_VERTICES}")
     body = tokens[1:]
@@ -37,7 +45,7 @@ def parse_edgelist(text: str) -> Graph:
         if len(parts) != 2:
             raise GraphError(f"bad edge line {' '.join(parts)!r}: expected 'u v'")
         try:
-            edges.append((int(parts[0]), int(parts[1])))
+            edges.append((_label(parts[0]), _label(parts[1])))
         except ValueError as exc:
             raise GraphError(f"bad edge line {' '.join(parts)!r}") from exc
     return make_graph(n, edges)

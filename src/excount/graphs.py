@@ -134,29 +134,41 @@ class Bipartition:
         return 0 if v in self.left else 1
 
 
+def bfs(G: Graph, roots: Iterable[int]) -> tuple[list[int], list[int | None]]:
+    """Breadth-first order from each root not yet reached, and each vertex's parent.
+
+    Roots are taken in the given order, neighbors in label order. A root's
+    parent is -1 and a vertex that no root reaches has parent None.
+    """
+    order: list[int] = []
+    parent: list[int | None] = [None] * G.n
+    for root in roots:
+        if parent[root] is None:
+            parent[root] = -1
+            queue = [root]
+            for u in queue:
+                for w in sorted(G.adj[u]):
+                    if parent[w] is None:
+                        parent[w] = u
+                        queue.append(w)
+            order += queue
+    return order, parent
+
+
 def bipartition_of(G: Graph) -> Bipartition | None:
     """Two-color G if possible, else None.
 
     Per connected component the part containing the lowest-labeled vertex
     is chosen as the left part; isolated vertices go left.
     """
-    color = [-1] * G.n
-    for start in range(G.n):
-        if color[start] != -1:
-            continue
-        color[start] = 0
-        queue = [start]
-        while queue:
-            u = queue.pop()
-            for w in G.adj[u]:
-                if color[w] == -1:
-                    color[w] = 1 - color[u]
-                    queue.append(w)
-                elif color[w] == color[u]:
-                    return None
+    order, parent = bfs(G, range(G.n))
+    color = [0] * G.n
+    for v in order:
+        color[v] = 0 if parent[v] == -1 else 1 - color[parent[v]]
+    if any(color[u] == color[v] for u, v in G.edges):
+        return None
     left = frozenset(v for v in range(G.n) if color[v] == 0)
-    right = frozenset(v for v in range(G.n) if color[v] == 1)
-    return Bipartition(left, right)
+    return Bipartition(left, frozenset(range(G.n)) - left)
 
 
 def is_triangle_free(G: Graph) -> bool:

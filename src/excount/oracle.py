@@ -63,15 +63,10 @@ def _star_leaf_count(H: Graph) -> int | None:
 
 def _triangle_masks(n: int, pool: list[tuple[int, int]]) -> list[int]:
     index = {pair: i for i, pair in enumerate(pool)}
-    masks = []
-    for a, b, c in combinations(range(n), 3):
-        try:
-            masks.append(
-                (1 << index[(a, b)]) | (1 << index[(a, c)]) | (1 << index[(b, c)])
-            )
-        except KeyError:
-            continue
-    return masks
+    return [
+        (1 << index[a, b]) | (1 << index[a, c]) | (1 << index[b, c])
+        for a, b, c in combinations(range(n), 3)
+    ]
 
 
 def _add_witness(kept: list[Graph], g: Graph, keep: int) -> None:

@@ -3,7 +3,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from excount.asymptotics import crossover_scan
@@ -56,12 +56,18 @@ class TestEdgeList:
         assert parse_edgelist(format_edgelist(g)) == g
 
     @given(st.lists(_GARBAGE_LINES, max_size=6).map("\n".join))
+    @example("1_0 0")  # underscore digit grouping
+    @example("\uff13 0")  # fullwidth 3
+    @example("+3 1\n0 \u0662")  # sign, Arabic-Indic 2
+    @example("-0 0")
     @settings(max_examples=200, deadline=None)
     def test_garbage_parses_or_raises_graph_error(self, text):
         try:
             g = parse_edgelist(text)
         except GraphError:
             return
+        lines = [line.split() for line in text.splitlines() if not line.strip().startswith("#")]
+        assert all(tok.isascii() and tok.isdigit() for line in lines for tok in line)
         assert parse_edgelist(format_edgelist(g)) == g
 
     def test_header_vertex_count_capped(self, monkeypatch):
@@ -221,6 +227,24 @@ class TestCli:
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: header vertex count 1000000000 exceeds")
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["count", "--host", "{host}", "--kind", "stars"],
+            ["count", "--host", "{host}", "--kind", "copies"],
+            ["count", "--host", "{missing}", "--kind", "stars", "--k", "2"],
+            ["count", "--host", "{host}", "--pattern", "{missing}"],
+        ],
+        ids=["stars-without-k", "copies-without-pattern", "missing-host", "missing-pattern"],
+    )
+    def test_usage_errors_exit_2(self, tmp_path, capsys, args):
+        host = tmp_path / "host.txt"
+        host.write_text("3 1\n0 1\n")
+        paths = {"host": str(host), "missing": str(tmp_path / "absent.txt")}
+        assert main([a.format(**paths) for a in args]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
 
     def test_reproducible_output(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -5,6 +5,7 @@ import pytest
 from excount.constructions import (
     bipartite_shape,
     clique_decomposition,
+    family_degrees,
     quasi_clique,
     quasi_complete_bipartite,
     quasi_star,
@@ -75,6 +76,21 @@ class TestQuasiStar:
             top = comb(n, 2)
             for e in range(top + 1):
                 assert quasi_star(n, top - e) == complement(quasi_clique(n, e))
+
+
+class TestFamilyDegrees:
+    def test_matches_built_families(self):
+        for n in range(13):
+            for e in range(comb(n, 2) + 1):
+                assert family_degrees(n, e) == (
+                    list(quasi_clique(n, e).degrees),
+                    list(quasi_star(n, e).degrees),
+                )
+
+    @pytest.mark.parametrize("n, e", [(0, 1), (4, -1), (4, 7), (12, 67)])
+    def test_out_of_range_edge_count(self, n, e):
+        with pytest.raises(GraphError):
+            family_degrees(n, e)
 
 
 class TestQuasiCompleteBipartite:

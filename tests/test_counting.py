@@ -22,6 +22,7 @@ from excount.graphs import (
     complete_graph,
     cycle_graph,
     disjoint_union,
+    empty_graph,
     make_graph,
     path_graph,
     star_graph,
@@ -40,6 +41,23 @@ def graphs_st(draw, nmax=7):
     pool = list(combinations(range(n), 2))
     edges = draw(st.sets(st.sampled_from(pool)) if pool else st.just(set()))
     return make_graph(n, edges)
+
+
+class TestPatternOrder:
+    @pytest.mark.parametrize(
+        "pattern, order",
+        [
+            (path_graph(5), (1, 0, 2, 3, 4)),
+            (cycle_graph(5), (0, 1, 4, 2, 3)),
+            (complete_graph(4), (0, 1, 2, 3)),
+            (star_graph(3), (0, 1, 2, 3)),
+            (disjoint_union(star_graph(2), path_graph(2), path_graph(2)), (0, 1, 2, 3, 4, 5, 6)),
+            (disjoint_union(path_graph(3), complete_graph(3), empty_graph(1)), (1, 0, 2, 3, 4, 5, 6)),
+            (make_graph(6, [(5, 0), (5, 3), (3, 1), (2, 4)]), (3, 1, 5, 0, 2, 4)),
+        ],
+    )
+    def test_bfs_order_from_highest_degree(self, pattern, order):
+        assert PatternCounter(pattern).order == order
 
 
 class TestCountStars:

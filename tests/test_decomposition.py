@@ -57,6 +57,8 @@ class TestSpanningTree:
     def test_rejects_disconnected(self):
         with pytest.raises(GraphError, match="disconnected"):
             spanning_tree(disjoint_union(path_graph(2), path_graph(2)))
+        with pytest.raises(GraphError, match="vertex 1 unreachable from 0$"):
+            spanning_tree(make_graph(6, [(0, 4), (4, 2), (1, 3), (3, 5)]))
 
 
 class TestStarPartition:

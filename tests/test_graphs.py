@@ -24,6 +24,14 @@ from excount.graphs import (
 )
 
 
+@st.composite
+def graphs_st(draw, nmax=10):
+    n = draw(st.integers(0, nmax))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.sets(st.sampled_from(pairs), max_size=2 * n)) if pairs else set()
+    return make_graph(n, edges)
+
+
 def partitions_st(max_total=14):
     return st.lists(st.integers(1, 6), min_size=0, max_size=5).map(
         lambda xs: tuple(sorted(xs, reverse=True))
@@ -74,6 +82,32 @@ class TestBipartition:
         P = bipartition_of(g)
         for u, v in g.edges:
             assert (u in P.left) != (v in P.left)
+
+    @given(graphs_st())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_brute_force_and_lowest_label_goes_left(self, g):
+        proper = any(
+            all((mask >> u & 1) != (mask >> v & 1) for u, v in g.edges)
+            for mask in range(1 << g.n)
+        )
+        P = bipartition_of(g)
+        assert (P is not None) == proper
+        if P is None:
+            return
+        assert P.left | P.right == frozenset(range(g.n)) and not P.left & P.right
+        for u, v in g.edges:
+            assert (u in P.left) != (v in P.left)
+        root = list(range(g.n))
+
+        def find(v):
+            while root[v] != v:
+                v = root[v]
+            return v
+
+        for u, v in g.sorted_edges():
+            root[max(find(u), find(v))] = min(find(u), find(v))
+        assert all(find(v) in P.left for v in range(g.n))
+        assert all(v in P.left for v in range(g.n) if g.degrees[v] == 0)
 
 
 class TestTriangleFree:
