@@ -17,7 +17,7 @@ from .edgelist import format_edgelist, read_edgelist
 from .graphs import GraphError
 from .oracle import DEFAULT_BUDGET, DEFAULT_WITNESSES, EnumerationBudgetError
 from .oracle import ex_bip_oracle, ex_oracle, ex_trifree_oracle
-from .reporting import emit_report
+from .reporting import edge_text, emit_report
 from .transform import run_transformation
 from .verify import run_verify_suite
 
@@ -105,7 +105,7 @@ def _cmd_oracle(args) -> int:
     )
     print(f"maximum: {record.maximum}")
     for w in record.witnesses:
-        print("witness: " + " ".join(f"{u}-{v}" for u, v in w.sorted_edges()))
+        print("witness: " + edge_text(w.edges))
     if args.csv:
         _write_text(emit_report([record], format=args.format, kind="extremal"), args.csv)
     return 0

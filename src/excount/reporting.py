@@ -22,53 +22,30 @@ _COLUMNS = {
 }
 
 
-def _edge_text(edges: Iterable[tuple[int, int]]) -> str:
+def edge_text(edges: Iterable[tuple[int, int]]) -> str:
+    """Edges as "u-v" tokens in sorted order, separated by spaces."""
     return " ".join(f"{u}-{v}" for u, v in sorted(edges))
 
 
-def _rows_of(record) -> tuple[str, list[dict]]:
+def _rows_of(record) -> tuple[str, list[tuple]]:
+    """The record's kind and its rows, each a tuple in `_COLUMNS[kind]` order."""
     if isinstance(record, ExtremalRecord):
-        witness_text = "|".join(_edge_text(w.edges) for w in record.witnesses)
+        witness_text = "|".join(edge_text(w.edges) for w in record.witnesses)
         return "extremal", [
-            {
-                "n": record.n,
-                "e": record.e,
-                "class": record.host_class,
-                "maximum": str(record.maximum),
-                "witness_edge_list": witness_text,
-            }
+            (record.n, record.e, record.host_class, str(record.maximum), witness_text)
         ]
     if isinstance(record, Trace):
-        rows = []
-        for idx, entry in enumerate(record.entries):
-            rows.append(
-                {
-                    "step_index": idx,
-                    "step_kind": entry.kind,
-                    "star_count_k": str(entry.stars_k),
-                    "star_count_2": str(entry.stars_2),
-                    "columns": " ".join(str(c) for c in entry.columns),
-                }
-            )
-        return "trace", rows
+        return "trace", [
+            (idx, entry.kind, str(entry.stars_k), str(entry.stars_2),
+             " ".join(str(c) for c in entry.columns))
+            for idx, entry in enumerate(record.entries)
+        ]
     if isinstance(record, DensityScan):
-        rows = []
-        for e, clique, star in record.samples:
-            if clique > star:
-                leader = "clique"
-            elif star > clique:
-                leader = "star"
-            else:
-                leader = "tie"
-            rows.append(
-                {
-                    "e": e,
-                    "clique_count": str(clique),
-                    "star_count": str(star),
-                    "leader": leader,
-                }
-            )
-        return "scan", rows
+        return "scan", [
+            (e, str(clique), str(star),
+             "clique" if clique > star else "star" if star > clique else "tie")
+            for e, clique, star in record.samples
+        ]
     raise TypeError(f"cannot report records of type {type(record).__name__}")
 
 
@@ -83,7 +60,7 @@ def emit_report(
     All records must be of one kind; pass kind explicitly ("extremal",
     "trace" or "scan") to emit a header for an empty sequence.
     """
-    rows: list[dict] = []
+    rows: list[tuple] = []
     for record in records:
         record_kind, record_rows = _rows_of(record)
         if kind is None:
@@ -101,12 +78,12 @@ def emit_report(
         if meta:
             for key in sorted(meta):
                 out.write(f"# {key}={meta[key]}\n")
-        writer = csv.DictWriter(out, fieldnames=columns, lineterminator="\n")
-        writer.writeheader()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(columns)
         writer.writerows(rows)
         return out.getvalue()
     if format == "json":
-        payload: dict = {"kind": kind, "rows": rows}
+        payload: dict = {"kind": kind, "rows": [dict(zip(columns, row)) for row in rows]}
         if meta:
             payload["meta"] = {k: meta[k] for k in sorted(meta)}
         return json.dumps(payload, indent=2) + "\n"

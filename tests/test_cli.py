@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from excount.asymptotics import crossover_scan
 from excount.edgelist import format_edgelist, parse_edgelist
 from excount.graphs import GraphError, complete_bipartite, make_graph, path_graph
-from excount.oracle import DEFAULT_BUDGET, DEFAULT_WITNESSES, ex_bip_oracle
+from excount.oracle import DEFAULT_BUDGET, DEFAULT_WITNESSES, ex_bip_oracle, ex_oracle
 from excount.reporting import emit_report
 from excount.transform import run_transformation
 from excount.cli import build_parser, main
@@ -64,11 +64,37 @@ class TestEdgeList:
     def test_garbage_parses_or_raises_graph_error(self, text):
         try:
             g = parse_edgelist(text)
-        except GraphError:
+        except GraphError as exc:
+            assert len(str(exc)) < 200
             return
         lines = [line.split() for line in text.splitlines() if not line.strip().startswith("#")]
         assert all(tok.isascii() and tok.isdigit() for line in lines for tok in line)
         assert parse_edgelist(format_edgelist(g)) == g
+
+    @pytest.mark.parametrize("text, line", [
+        ("1" * 5000 + " 0", 1),  # header too long for int()
+        ("3 1\n0 " + "9" * 3000, 2),  # label far past n
+    ])
+    def test_long_token_error_is_short_and_names_the_line(self, text, line):
+        with pytest.raises(GraphError) as info:
+            parse_edgelist(text)
+        message = str(info.value)
+        assert len(message) < 200
+        assert f"line {line}:" in message
+        assert "…" in message
+
+    @pytest.mark.parametrize("text, message", [
+        ("3 2\n0 1\n\n1 3\n", "bad edge line 4: vertex 3 is not below n=3"),
+        ("# c\n3 2\n0 1\n2 2\n", "bad edge line 4: loop (2, 2) is not allowed"),
+        ("3 2\n0 1\n1 0\n", "bad edge line 3: duplicate edge (0, 1)"),
+        ("3 1\n0 1 2\n", "bad edge line 2: expected 'u v', found 3 fields"),
+        ("3 1\n0 x\n", "bad edge line 2: 'x' is not a plain decimal"),
+        ("\n3 1 0\n", "bad header on line 2: expected 'n e', found 3 fields"),
+    ])
+    def test_error_names_the_line_at_fault(self, text, message):
+        with pytest.raises(GraphError) as info:
+            parse_edgelist(text)
+        assert str(info.value) == message
 
     def test_header_vertex_count_capped(self, monkeypatch):
         monkeypatch.setattr("excount.edgelist.MAX_VERTICES", 5)
@@ -115,6 +141,72 @@ class TestReporting:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="extremal, trace or scan"):
             emit_report([], kind="bogus")
+
+
+# Exact report text: every column, every row, and the JSON value types
+# (counts are strings so big integers survive, indices are numbers).
+_GOLDEN_TRACE_HOST = make_graph(
+    8, [(0, 3), (0, 4), (0, 5), (1, 4), (2, 3), (2, 4), (2, 6), (2, 7)]
+)
+
+
+def _golden_json(kind, rows):
+    return json.dumps({"kind": kind, "rows": rows}, indent=2) + "\n"
+
+
+class TestGoldenReports:
+    def test_extremal(self):
+        rec = ex_oracle(5, 4, path_graph(2))
+        witnesses = "0-1 0-2 0-3 0-4|0-1 0-2 0-3 1-2|0-1 0-2 0-3 1-4"
+        assert emit_report([rec], format="csv") == (
+            "n,e,class,maximum,witness_edge_list\n"
+            f"5,4,all,4,{witnesses}\n"
+        )
+        assert emit_report([rec], format="json") == _golden_json("extremal", [
+            {"n": 5, "e": 4, "class": "all", "maximum": "4", "witness_edge_list": witnesses},
+        ])
+
+    def test_trace(self):
+        _, trace = run_transformation(_GOLDEN_TRACE_HOST, 2)
+        assert emit_report([trace], format="csv") == (
+            "step_index,step_kind,star_count_k,star_count_2,columns\n"
+            "0,start,13,13,4 3 1\n"
+            "1,shift,14,14,4 3 1\n"
+            "2,step1,16,16,2 2 2 1 1\n"
+            "3,step2,18,18,2 2 1 1 1 1\n"
+        )
+        rows = [
+            (0, "start", "13", "4 3 1"),
+            (1, "shift", "14", "4 3 1"),
+            (2, "step1", "16", "2 2 2 1 1"),
+            (3, "step2", "18", "2 2 1 1 1 1"),
+        ]
+        assert emit_report([trace], format="json") == _golden_json("trace", [
+            {"step_index": i, "step_kind": kind, "star_count_k": stars,
+             "star_count_2": stars, "columns": columns}
+            for i, kind, stars, columns in rows
+        ])
+
+    def test_scan(self):
+        scan = crossover_scan(2, 8, 4)
+        rows = [
+            (0, "0", "0", "tie"),
+            (4, "5", "6", "star"),
+            (8, "19", "23", "star"),
+            (12, "39", "41", "star"),
+            (16, "65", "63", "clique"),
+            (20, "95", "91", "clique"),
+            (24, "126", "125", "clique"),
+            (28, "168", "168", "tie"),
+        ]
+        assert emit_report([scan], format="csv") == (
+            "e,clique_count,star_count,leader\n"
+            + "".join(f"{e},{c},{s},{lead}\n" for e, c, s, lead in rows)
+        )
+        assert emit_report([scan], format="json") == _golden_json("scan", [
+            {"e": e, "clique_count": c, "star_count": s, "leader": lead}
+            for e, c, s, lead in rows
+        ])
 
 
 class TestCli:

@@ -268,7 +268,28 @@ class TestTopRowPack:
                     assert out.width + out.height <= tight
 
 
+def assert_moved_rules(trace):
+    """Each entry's moved count matches the step that produced it."""
+    for prev, cur in zip(trace.entries, trace.entries[1:]):
+        if cur.kind == "shift":
+            assert cur.moved == 1
+        elif cur.kind == "step1":
+            height = cur.columns[0]
+            assert cur.moved == sum(a - height for a in prev.columns if a > height)
+        elif cur.kind == "step2":
+            top = prev.columns[0]  # the top row's index, 1-based
+            top_row = sum(1 for a in prev.columns if a >= top)
+            assert cur.moved == top_row - sum(1 for a in cur.columns if a >= top)
+
+
 class TestRunTransformation:
+    def test_moved_counts_on_a_worked_example(self):
+        g = make_graph(8, [(0, 3), (0, 4), (0, 5), (1, 4), (2, 3), (2, 4), (2, 6), (2, 7)])
+        _, trace = run_transformation(g, 2)
+        assert [t.kind for t in trace.entries] == ["start", "shift", "step1", "step2"]
+        assert [t.moved for t in trace.entries] == [0, 1, 3, 1]
+        assert_moved_rules(trace)
+
     def test_staircase_to_b813(self):
         g = realize_diagram(FerrersDiagram((4, 4, 3, 2)), 8)
         assert count_stars(g, 2) == 32
@@ -339,6 +360,7 @@ class TestRewriteProperties:
         assert shift_trace.entries[-1].columns == diagram_of(nested, P).columns
         endpoint, trace = run_transformation(g, k)
         assert trace.entries[: len(shift_trace.entries)] == shift_trace.entries
+        assert_moved_rules(trace)
         for prev, cur in zip(trace.entries, trace.entries[1:]):
             assert cur.stars_k >= prev.stars_k
             if cur.kind == "shift":
