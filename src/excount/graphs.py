@@ -314,12 +314,13 @@ def are_isomorphic(G1: Graph, G2: Graph) -> bool:
     if sorted(G1.degrees) != sorted(G2.degrees):
         return False
     n = G1.n
-    order = sorted(range(n), key=lambda v: (-G1.degrees[v], v))
+    # Isolated vertices map to each other freely once the degree sequences agree.
+    order = sorted((v for v in range(n) if G1.degrees[v]), key=lambda v: (-G1.degrees[v], v))
     images = [-1] * n
     used = [False] * n
 
     def extend(pos: int) -> bool:
-        if pos == n:
+        if pos == len(order):
             return True
         u = order[pos]
         du = G1.degrees[u]

@@ -1,17 +1,20 @@
 """Independent ground truth by exhaustive host enumeration.
 
 The maximum of N(H, G) over labeled e-edge hosts on n vertices is
-computed by one sweep over every e-subset of each candidate pair pool,
-with no canonical-form reduction; isomorphism deduplication is applied
-only to the reported witnesses. Each pool's subset space splits into
-contiguous lexicographic rank ranges, and each shard walks its range as
-an islice of itertools.combinations. A shard scores every host by its
-injective homomorphism count (the degree formula for star patterns, the
-backtracking counter otherwise) and keeps its local maximum. One
-deterministic merge in pool-then-rank order keeps the global maximum with
-the earliest pairwise non-isomorphic witnesses, so parallel and serial
-runs return identical records; the maximum is that score divided once by
-the pattern's automorphism count.
+computed by one sweep over every e-subset of each pair pool (all pairs,
+or the cross pairs of one bipartition side), with no canonical-form
+reduction; isomorphism deduplication is applied only to the reported
+witnesses. The budget is checked from the pool sizes before any pool is
+built. Each pool's subset space splits into contiguous lexicographic
+rank ranges; each shard builds its pool and walks its range as an islice
+of itertools.combinations over the pairs. A shard drops hosts with a
+triangle when asked, scores the rest by the injective homomorphism count
+(the degree formula for star patterns, the backtracking counter
+otherwise) and keeps its local maximum. One deterministic merge in
+pool-then-rank order keeps the global maximum with the earliest pairwise
+non-isomorphic witnesses, so parallel and serial runs return identical
+records; the maximum is that score divided once by the pattern's
+automorphism count.
 """
 from __future__ import annotations
 
@@ -61,12 +64,22 @@ def _star_leaf_count(H: Graph) -> int | None:
     return H.n - 1
 
 
-def _triangle_masks(n: int, pool: list[tuple[int, int]]) -> list[int]:
-    index = {pair: i for i, pair in enumerate(pool)}
-    return [
-        (1 << index[a, b]) | (1 << index[a, c]) | (1 << index[b, c])
-        for a, b, c in combinations(range(n), 3)
-    ]
+def _pool(n: int, p: int | None):
+    """Candidate pairs: every pair when p is None, else the cross pairs i < p <= j."""
+    if p is None:
+        return combinations(range(n), 2)
+    return ((i, j) for i in range(p) for j in range(p, n))
+
+
+def _has_triangle(n: int, edges) -> bool:
+    """True iff some edge joins two vertices that already share a neighbour."""
+    nbrs = [0] * n
+    for u, v in edges:
+        if nbrs[u] & nbrs[v]:
+            return True
+        nbrs[u] |= 1 << v
+        nbrs[v] |= 1 << u
+    return False
 
 
 def _add_witness(kept: list[Graph], g: Graph, keep: int) -> None:
@@ -77,7 +90,7 @@ def _add_witness(kept: list[Graph], g: Graph, keep: int) -> None:
 
 def _scan_shard(
     n: int,
-    pool: list[tuple[int, int]],
+    p: int | None,
     e: int,
     start: int,
     stop: int,
@@ -85,54 +98,38 @@ def _scan_shard(
     triangle_free_only: bool,
     keep: int,
 ) -> tuple[int, list[Graph]]:
-    """Scan the ranks [start, stop) of one pool; return the local max and witnesses.
+    """Scan the ranks [start, stop) of the e-subsets of _pool(n, p); return max, witnesses.
 
-    The score is the injective homomorphism count of H: for a k-leaf star
-    the sum of d!/(d-k)! over the host degrees, otherwise the backtracking
-    counter.
+    Each host is a tuple of pairs. With triangle_free_only it is dropped at
+    the first pair whose ends already share a neighbour, which catches every
+    triangle at its last pair. The score is H's injective homomorphism count:
+    the sum of d!/(d-k)! over the degrees for a k-leaf star, else the counter.
     """
-    us = [p[0] for p in pool]
-    vs = [p[1] for p in pool]
-    tri_masks = _triangle_masks(n, pool) if triangle_free_only else []
-    bits = [1 << i for i in range(len(pool))]
     star_k = _star_leaf_count(H)
-    if star_k is None:
-        counter = PatternCounter(H)
-        lut = None
-    else:
-        counter = None
-        lut = [perm(d, star_k) for d in range(n)]
+    counter = PatternCounter(H) if star_k is None else None
+    lut = None if star_k is None else [perm(d, star_k) for d in range(n)]
 
     best = -1
     wits: list[Graph] = []
-    for combo in islice(combinations(range(len(pool)), e), start, stop):
-        if triangle_free_only:
-            mask = 0
-            for i in combo:
-                mask |= bits[i]
-            ok = True
-            for t in tri_masks:
-                if mask & t == t:
-                    ok = False
-                    break
-            if not ok:
-                continue
+    for combo in islice(combinations(_pool(n, p), e), start, stop):
+        if triangle_free_only and _has_triangle(n, combo):
+            continue
         if lut is not None:
             deg = [0] * n
-            for i in combo:
-                deg[us[i]] += 1
-                deg[vs[i]] += 1
+            for u, v in combo:
+                deg[u] += 1
+                deg[v] += 1
             score = sum(map(lut.__getitem__, deg))
         else:
             adj: list[set[int]] = [set() for _ in range(n)]
-            for i in combo:
-                adj[us[i]].add(vs[i])
-                adj[vs[i]].add(us[i])
+            for u, v in combo:
+                adj[u].add(v)
+                adj[v].add(u)
             score = counter.count(adj, [len(s) for s in adj])
         if score > best:
             best, wits = score, []
         if score == best and len(wits) < keep:
-            _add_witness(wits, make_graph(n, [pool[i] for i in combo]), keep)
+            _add_witness(wits, make_graph(n, combo), keep)
     return (best, wits)
 
 
@@ -141,24 +138,24 @@ def _sweep(
     e: int,
     H: Graph,
     host_class: str,
-    pools: list[list[tuple[int, int]]],
+    sides: list[int | None],
     triangle_free_only: bool,
     budget: int,
     witnesses: int,
     threads: int,
 ) -> ExtremalRecord:
-    """Score every e-subset of every pool and merge the shards into a record."""
-    totals = [comb(len(pool), e) for pool in pools]
+    """Check the budget from the pool sizes, then score every pool's e-subsets and merge."""
+    totals = [comb(comb(n, 2) if p is None else p * (n - p), e) for p in sides]
     required = sum(totals)
     if required > budget:
         raise EnumerationBudgetError(required, budget)
     workers = min(threads, os.cpu_count() or 1)
     shards = 1 if workers <= 1 or required < 4 * workers else workers
     jobs = []
-    for pool, total in zip(pools, totals):
+    for p, total in zip(sides, totals):
         bounds = [total * i // shards for i in range(shards + 1)]
         jobs += [
-            (n, pool, e, start, stop, H, triangle_free_only, witnesses)
+            (n, p, e, start, stop, H, triangle_free_only, witnesses)
             for start, stop in zip(bounds, bounds[1:])
             if start < stop
         ]
@@ -199,8 +196,7 @@ def ex_oracle(
     """Exact maximum of N(H, G) over all labeled e-edge hosts on n vertices."""
     if not 0 <= e <= comb(n, 2):
         raise GraphError(f"edge count {e} outside [0, {comb(n, 2)}] for n={n}")
-    pool = list(combinations(range(n), 2))
-    return _sweep(n, e, H, "all", [pool], False, budget, witnesses, threads)
+    return _sweep(n, e, H, "all", [None], False, budget, witnesses, threads)
 
 
 def ex_bip_oracle(
@@ -222,12 +218,8 @@ def ex_bip_oracle(
     """
     if not 0 <= e <= n * n // 4:
         raise GraphError(f"edge count {e} outside [0, {n * n // 4}] for n={n}")
-    pools = [
-        [(i, j) for i in range(p) for j in range(p, n)]
-        for p in range(n // 2 + 1)
-        if p * (n - p) >= e
-    ]
-    return _sweep(n, e, H, "bipartite", pools, False, budget, witnesses, threads)
+    sides = [p for p in range(n // 2 + 1) if p * (n - p) >= e]
+    return _sweep(n, e, H, "bipartite", sides, False, budget, witnesses, threads)
 
 
 def ex_trifree_oracle(
@@ -246,8 +238,7 @@ def ex_trifree_oracle(
         raise GraphError(
             f"no triangle-free host exists: {e} edges exceed the bound {n * n // 4}"
         )
-    pool = list(combinations(range(n), 2))
-    return _sweep(n, e, H, "triangle_free", [pool], True, budget, witnesses, threads)
+    return _sweep(n, e, H, "triangle_free", [None], True, budget, witnesses, threads)
 
 
 def nonmonotonicity_demo(**kwargs) -> tuple[int, int]:

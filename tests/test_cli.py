@@ -338,6 +338,16 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
 
+    def test_oracle_over_budget_exits_2(self, tmp_path, capsys):
+        pattern = tmp_path / "s2.txt"
+        pattern.write_text("3 2\n0 1\n0 2\n")
+        args = ["oracle", "--n", "10", "--e", "20", "--budget", "1000", "--pattern", str(pattern)]
+        assert main(args) == 2
+        assert capsys.readouterr().err == (
+            "error: enumeration needs 3169870830126 hosts, above the budget of 1000; "
+            "raise the budget to force the run\n"
+        )
+
     def test_reproducible_output(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         main(["scan-crossover", "--j", "2", "--n", "7", "--csv", str(a)])

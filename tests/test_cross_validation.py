@@ -34,6 +34,10 @@ def test_isomorphism_agrees_with_vf2():
         g = random_graph(rng, 7)
         h = random_graph(rng, 7)
         assert are_isomorphic(g, h) == nx.is_isomorphic(to_nx(g), to_nx(h))
+        # the same pair padded to one size with isolated vertices
+        n = max(g.n, h.n) + 3
+        g, h = make_graph(n, g.edges), make_graph(n, h.edges)
+        assert are_isomorphic(g, h) == nx.is_isomorphic(to_nx(g), to_nx(h))
 
 
 def test_automorphism_count_agrees_with_vf2():

@@ -251,6 +251,8 @@ class TestIsomorphism:
         two_triangles = disjoint_union(complete_graph(3), complete_graph(3))
         assert sorted(two_triangles.degrees) == sorted(cycle_graph(6).degrees)
         assert not are_isomorphic(two_triangles, cycle_graph(6))
+        padded = make_graph(300, two_triangles.edges)
+        assert not are_isomorphic(padded, make_graph(300, cycle_graph(6).edges))
 
     def test_relabeled_graphs_are_isomorphic(self):
         import random

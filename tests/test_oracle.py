@@ -1,4 +1,6 @@
 import os
+import tracemalloc
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -8,9 +10,12 @@ from excount.constructions import quasi_clique, quasi_complete_bipartite, quasi_
 from excount.counting import count_copies
 from excount.graphs import (
     are_isomorphic,
+    bipartition_of,
     complete_graph,
     cycle_graph,
     empty_graph,
+    is_triangle_free,
+    make_graph,
     path_graph,
     star_graph,
 )
@@ -190,6 +195,49 @@ class TestOraclesDominateConstructions:
                 bip = count_copies(H, quasi_complete_bipartite(n, e))
                 assert ex_bip_oracle(n, e, H).maximum >= bip, (n, e)
                 assert ex_trifree_oracle(n, e, H).maximum >= bip, (n, e)
+
+
+class TestFilteredOraclesMatchLabeledReference:
+    @pytest.mark.parametrize(
+        "H", [star_graph(2), path_graph(4), complete_graph(3), cycle_graph(4)],
+        ids=["S2", "P4", "K3", "C4"],
+    )
+    def test_maxima_equal_the_best_labeled_host_of_the_class(self, H):
+        for n in range(1, 6):
+            for e in range(n * n // 4 + 1):
+                hosts = [make_graph(n, c) for c in combinations(combinations(range(n), 2), e)]
+                trifree = max(count_copies(H, g) for g in hosts if is_triangle_free(g))
+                bip = max(count_copies(H, g) for g in hosts if bipartition_of(g) is not None)
+                assert ex_trifree_oracle(n, e, H).maximum == trifree, (n, e)
+                assert ex_bip_oracle(n, e, H).maximum == bip, (n, e)
+
+
+def _traced_peak_mb(fn, *args):
+    """Run fn(*args) under tracemalloc; return its result or exception and the peak in MB."""
+    tracemalloc.start()
+    try:
+        outcome = fn(*args)
+    except EnumerationBudgetError as exc:
+        outcome = exc
+    finally:
+        peak = tracemalloc.get_traced_memory()[1] / 1e6
+        tracemalloc.stop()
+    return outcome, peak
+
+
+class TestOracleAllocation:
+    @pytest.mark.parametrize(
+        "sweep, n", [(ex_oracle, 2000), (ex_bip_oracle, 400)], ids=["all", "bipartite"]
+    )
+    def test_budget_error_before_any_pool_is_built(self, sweep, n):
+        outcome, peak = _traced_peak_mb(sweep, n, 5, path_graph(4))
+        assert isinstance(outcome, EnumerationBudgetError)
+        assert peak < 1
+
+    def test_single_host_sweep_allocates_no_pool_sized_table(self):
+        outcome, peak = _traced_peak_mb(ex_oracle, 300, 0, path_graph(4))
+        assert outcome.maximum == 0
+        assert peak < 8
 
 
 class TestNonmonotonicity:
