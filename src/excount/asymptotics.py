@@ -11,10 +11,11 @@ reported density is an estimate, never a constant.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, perm
+from math import comb, factorial
 
+# bench/tracer.py wraps count_stars, inj_homs and quasi_* here, so they stay imported.
 from .constructions import clique_decomposition, family_degrees, quasi_clique, quasi_star  # noqa
-from .counting import count_stars, inj_homs  # noqa: F401 - bench/tracer.py wraps these and quasi_*
+from .counting import count_stars, inj_homs, star_sum  # noqa: F401
 from .decomposition import star_factor_profile
 from .graphs import Graph, GraphError
 
@@ -72,7 +73,7 @@ def star_factor_upper_bound(H: Graph, n: int, e: int) -> int:
         raise GraphError(f"edge budget must be at least 1, got {e}")
     bound = 1
     for a in star_factor_profile(H):
-        bound *= max(sum(perm(d, a) for d in degrees) for degrees in family_degrees(n, e))
+        bound *= factorial(a) * max(star_sum(degrees, a) for degrees in family_degrees(n, e))
     return bound
 
 
@@ -82,15 +83,16 @@ class DensityScan:
 
     samples holds (e, clique count, star count) sorted by e. crossover_e
     is the smallest sampled e from which the clique value stays >= the
-    star value through the end of the sample, None if there is no such
-    point. sign_changes lists every sampled e where the leadership flips.
+    star value through the end of the sample; the last sample is
+    e = C(n, 2), where both families are K_n and tie, so it always
+    exists. sign_changes lists every sampled e where the leadership flips.
     """
 
     j: int
     n: int
     step: int
     samples: tuple[tuple[int, int, int], ...]
-    crossover_e: int | None
+    crossover_e: int
     sign_changes: tuple[int, ...]
 
 
@@ -103,19 +105,15 @@ def crossover_scan(j: int, n: int, step: int = 1) -> DensityScan:
     if step < 1:
         raise ValueError(f"stride must be positive, got {step}")
     top = comb(n, 2)
-    points = list(range(0, top + 1, step))
-    if points[-1] != top:
-        points.append(top)
     samples = tuple(
-        (e, *(sum(comb(d, j) for d in degrees) for degrees in family_degrees(n, e)))
-        for e in points
+        (e, *(star_sum(degrees, j) for degrees in family_degrees(n, e)))
+        for e in [*range(0, top, step), top]
     )
-    crossover = None
+    crossover = top
     for e, clique, star in reversed(samples):
-        if clique >= star:
-            crossover = e
-        else:
+        if clique < star:
             break
+        crossover = e
     changes = []
     for prev, cur in zip(samples, samples[1:]):
         if (prev[1] >= prev[2]) != (cur[1] >= cur[2]):
@@ -136,7 +134,5 @@ def crossover_density_estimate(H: Graph, n: int, step: int = 1) -> float:
     for a in set(star_factor_profile(H)):
         if a < 2:
             continue
-        scan = crossover_scan(a, n, step)
-        e_star = top if scan.crossover_e is None else scan.crossover_e
-        best = max(best, e_star / top)
+        best = max(best, crossover_scan(a, n, step).crossover_e / top)
     return best

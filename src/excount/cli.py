@@ -114,10 +114,7 @@ def _cmd_oracle(args) -> int:
 def _cmd_scan(args) -> int:
     scan = crossover_scan(args.j, args.n, args.step)
     _write_text(emit_report([scan], format=args.format, kind="scan"), args.csv)
-    if scan.crossover_e is None:
-        print("crossover: none")
-    else:
-        print(f"crossover: e={scan.crossover_e}")
+    print(f"crossover: e={scan.crossover_e}")
     if len(scan.sign_changes) > 1:
         print("sign changes: " + " ".join(str(e) for e in scan.sign_changes))
     return 0

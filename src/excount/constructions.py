@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
+from math import comb, isqrt
 
 from .graphs import Graph, GraphError, complement, empty_graph, make_graph
 
@@ -25,19 +25,27 @@ class CliqueDecomposition:
 def clique_decomposition(e: int) -> CliqueDecomposition:
     if e < 0:
         raise GraphError(f"edge count must be non-negative, got {e}")
-    a = 1
-    while comb(a + 1, 2) <= e:
-        a += 1
+    a = (1 + isqrt(8 * e + 1)) // 2
     b = e - comb(a, 2)
     if not 0 <= b < a:
         raise RuntimeError(f"decomposition {e} = C({a}, 2) + {b} needs 0 <= b < a")
     return CliqueDecomposition(a, b)
 
 
+def check_edge_count(n: int, e: int, top: int) -> None:
+    """Raise GraphError unless 0 <= e <= top, the edge budget of an n-vertex host class."""
+    if not 0 <= e <= top:
+        raise GraphError(f"edge count {e} outside [0, {top}] for n={n}")
+
+
+def small_side(n: int, e: int) -> int:
+    """Least t with t(n - t) >= e, for 0 <= e <= n^2/4: the small side of B_n^e."""
+    return (n - isqrt(n * n - 4 * e) + 1) // 2
+
+
 def quasi_clique(n: int, e: int) -> Graph:
     """Clique on 0..a-1; if b > 0 vertex a is joined to 0..b-1; rest isolated."""
-    if not 0 <= e <= comb(n, 2):
-        raise GraphError(f"edge count {e} outside [0, {comb(n, 2)}] for n={n}")
+    check_edge_count(n, e, comb(n, 2))
     dec = clique_decomposition(e)
     edges = list(combinations(range(dec.a), 2))
     edges.extend((i, dec.a) for i in range(dec.b))
@@ -46,15 +54,13 @@ def quasi_clique(n: int, e: int) -> Graph:
 
 def quasi_star(n: int, e: int) -> Graph:
     """Complement of the quasi-clique on the complementary edge budget."""
-    if not 0 <= e <= comb(n, 2):
-        raise GraphError(f"edge count {e} outside [0, {comb(n, 2)}] for n={n}")
+    check_edge_count(n, e, comb(n, 2))
     return complement(quasi_clique(n, comb(n, 2) - e))
 
 
 def family_degrees(n: int, e: int) -> tuple[list[int], list[int]]:
     """Degree sequences of quasi_clique(n, e) and quasi_star(n, e), without building them."""
-    if not 0 <= e <= comb(n, 2):
-        raise GraphError(f"edge count {e} outside [0, {comb(n, 2)}] for n={n}")
+    check_edge_count(n, e, comb(n, 2))
     clique, complement_clique = (
         ([dec.a] * dec.b + [dec.a - 1] * (dec.a - dec.b) + [dec.b] + [0] * n)[:n]
         for dec in map(clique_decomposition, (e, comb(n, 2) - e))
@@ -80,9 +86,7 @@ def bipartite_shape(n: int, e: int) -> BipartiteShape:
         raise GraphError(f"shape is defined for e >= 1, got {e}")
     if e > n * n // 4:
         raise GraphError(f"edge count {e} exceeds bipartite maximum {n * n // 4} for n={n}")
-    t = 1
-    while t * (n - t) < e:
-        t += 1
+    t = small_side(n, e)
     deficiency = t * (n - t) - e
     degree = (n - t) - deficiency
     if not (1 <= t <= n // 2 and degree >= t):
@@ -97,17 +101,11 @@ def quasi_complete_bipartite(n: int, e: int) -> Graph:
     join vertex 0 to the highest-labeled large-side vertices. For e = 0
     the graph is empty (the shape parameter t is undefined there).
     """
-    if not 0 <= e <= n * n // 4:
-        raise GraphError(f"edge count {e} outside [0, {n * n // 4}] for n={n}")
+    check_edge_count(n, e, n * n // 4)
     if e == 0:
         return empty_graph(n)
     shape = bipartite_shape(n, e)
     t = shape.t
     deleted = {(0, n - 1 - r) for r in range(shape.deficiency)}
-    edges = [
-        (i, j)
-        for i in range(t)
-        for j in range(t, n)
-        if (i, j) not in deleted
-    ]
+    edges = [(i, j) for i in range(t) for j in range(t, n) if (i, j) not in deleted]
     return make_graph(n, edges)

@@ -8,8 +8,9 @@ from __future__ import annotations
 
 from collections import defaultdict
 from functools import lru_cache
+from itertools import repeat
 from math import comb, factorial
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .graphs import Graph, bfs, disjoint_union, path_graph, star_graph
 
@@ -21,7 +22,12 @@ def count_stars(G: Graph, k: int) -> int:
     """
     if k < 1:
         raise ValueError(f"leaf count must be at least 1, got {k}")
-    return sum(comb(d, k) for d in G.degrees)
+    return star_sum(G.degrees, k)
+
+
+def star_sum(degrees: Iterable[int], k: int) -> int:
+    """Sum of C(d, k) over a degree multiset: the k-star count of any graph with it."""
+    return sum(map(comb, degrees, repeat(k)))
 
 
 class PatternCounter:

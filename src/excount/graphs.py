@@ -7,7 +7,7 @@ safe to evaluate concurrently.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -29,7 +29,8 @@ class Graph:
         if n < 0:
             raise GraphError(f"vertex count must be non-negative, got {n}")
         seen: set[tuple[int, int]] = set()
-        adj: list[set[int]] = [set() for _ in range(n)]
+        # Edgeless vertices share one empty frozenset; a vertex gets a set at its first edge.
+        adj: list[set[int] | frozenset[int]] = [frozenset()] * n
         for u, v in edge_list:
             if u == v:
                 raise GraphError(f"loop ({u}, {v}) is not allowed")
@@ -40,12 +41,18 @@ class Graph:
             if (u, v) in seen:
                 raise GraphError(f"duplicate edge ({u}, {v})")
             seen.add((u, v))
-            adj[u].add(v)
-            adj[v].add(u)
+            if adj[u]:
+                adj[u].add(v)
+            else:
+                adj[u] = {v}
+            if adj[v]:
+                adj[v].add(u)
+            else:
+                adj[v] = {u}
         self.n: int = n
         self.edges: frozenset[tuple[int, int]] = frozenset(seen)
-        self.adj: tuple[frozenset[int], ...] = tuple(frozenset(s) for s in adj)
-        self.degrees: tuple[int, ...] = tuple(len(s) for s in adj)
+        self.adj: tuple[frozenset[int], ...] = tuple(map(frozenset, adj))
+        self.degrees: tuple[int, ...] = tuple(map(len, adj))
 
     @property
     def edge_count(self) -> int:
@@ -218,10 +225,13 @@ class FerrersDiagram:
 
     Column heights are a non-increasing sequence of positive integers; the
     rows are the conjugate partition, so column and row sums both equal the
-    total number of squares (the edge count of the encoded graph).
+    total number of squares (the edge count of the encoded graph). The rows
+    are computed once, at construction; they take no part in the repr,
+    equality or hash, which the columns determine.
     """
 
     columns: tuple[int, ...]
+    rows: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         cols = tuple(self.columns)
@@ -231,10 +241,7 @@ class FerrersDiagram:
                 raise GraphError(f"column height {a} is not positive")
         if any(cols[i] < cols[i + 1] for i in range(len(cols) - 1)):
             raise GraphError(f"columns {cols} are not non-increasing")
-
-    @property
-    def rows(self) -> tuple[int, ...]:
-        return conjugate(self.columns)
+        object.__setattr__(self, "rows", conjugate(cols))
 
     @property
     def squares(self) -> int:

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from itertools import combinations, islice
 from math import comb, perm
 
+from .constructions import check_edge_count, small_side
 from .counting import PatternCounter, automorphism_count, count_copies
 from .graphs import Graph, GraphError, are_isomorphic, make_graph
 
@@ -138,7 +139,7 @@ def _sweep(
     e: int,
     H: Graph,
     host_class: str,
-    sides: list[int | None],
+    sides: range | list[None],
     triangle_free_only: bool,
     budget: int,
     witnesses: int,
@@ -194,8 +195,7 @@ def ex_oracle(
     threads: int = 1,
 ) -> ExtremalRecord:
     """Exact maximum of N(H, G) over all labeled e-edge hosts on n vertices."""
-    if not 0 <= e <= comb(n, 2):
-        raise GraphError(f"edge count {e} outside [0, {comb(n, 2)}] for n={n}")
+    check_edge_count(n, e, comb(n, 2))
     return _sweep(n, e, H, "all", [None], False, budget, witnesses, threads)
 
 
@@ -216,9 +216,8 @@ def ex_bip_oracle(
     bipartite host up to isomorphism. At e = 0 the p = 0 pool supplies the
     empty host.
     """
-    if not 0 <= e <= n * n // 4:
-        raise GraphError(f"edge count {e} outside [0, {n * n // 4}] for n={n}")
-    sides = [p for p in range(n // 2 + 1) if p * (n - p) >= e]
+    check_edge_count(n, e, n * n // 4)
+    sides = range(small_side(n, e), n // 2 + 1)
     return _sweep(n, e, H, "bipartite", sides, False, budget, witnesses, threads)
 
 
@@ -232,8 +231,7 @@ def ex_trifree_oracle(
     threads: int = 1,
 ) -> ExtremalRecord:
     """Exact maximum of N(H, G) over triangle-free e-edge hosts."""
-    if not 0 <= e <= comb(n, 2):
-        raise GraphError(f"edge count {e} outside [0, {comb(n, 2)}] for n={n}")
+    check_edge_count(n, e, comb(n, 2))
     if e > n * n // 4:
         raise GraphError(
             f"no triangle-free host exists: {e} edges exceed the bound {n * n // 4}"

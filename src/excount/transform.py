@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import comb
 
+from .counting import star_sum
 from .graphs import (
     Bipartition,
     FerrersDiagram,
@@ -72,11 +73,7 @@ def total_weight(D: FerrersDiagram, k: int) -> int:
     """Sum of cell weights: equals the k-star count of the realized graph."""
     if k < 2:
         raise ValueError(f"leaf count must be at least 2, got {k}")
-    return _stars(D.columns + D.rows, k)
-
-
-def _stars(degrees, k: int) -> int:
-    return sum(comb(d, k) for d in degrees)
+    return star_sum(D.columns + D.rows, k)
 
 
 def _record(trace: Trace, kind: str, degrees, columns, moved: int = 0) -> None:
@@ -85,7 +82,7 @@ def _record(trace: Trace, kind: str, degrees, columns, moved: int = 0) -> None:
     During the shift phase the degrees are the vertex degrees; on a diagram
     they are its columns plus its rows.
     """
-    entry = TraceEntry(kind, _stars(degrees, trace.k), _stars(degrees, 2), columns, moved)
+    entry = TraceEntry(kind, star_sum(degrees, trace.k), star_sum(degrees, 2), columns, moved)
     trace.entries.append(entry)
 
 

@@ -11,17 +11,19 @@ from excount.asymptotics import (
     star_factor_upper_bound,
     star_matching_pair_bound,
 )
-from excount.constructions import quasi_clique, quasi_complete_bipartite, quasi_star
+from excount.constructions import family_degrees, quasi_clique, quasi_complete_bipartite, quasi_star
 from excount.counting import (
     automorphism_count,
     count_star_matching_pairs,
     count_stars,
     inj_homs,
 )
+from excount.decomposition import star_factor_profile
 from excount.graphs import (
     GraphError,
     complete_graph,
     disjoint_union,
+    make_graph,
     path_graph,
     star_graph,
 )
@@ -116,6 +118,17 @@ class TestStarFactorUpperBound:
         rec = ex_oracle(6, 12, H)
         assert rec.maximum * automorphism_count(H) <= star_factor_upper_bound(H, 6, 12)
 
+    def test_equals_the_product_of_injective_star_sums(self):
+        H = make_graph(8, [(0, 1), (0, 2), (0, 3), (3, 4), (4, 5), (4, 6), (6, 7)])
+        profile = star_factor_profile(H)
+        for n in range(2, 10):
+            for e in range(1, comb(n, 2) + 1):
+                want = math.prod(
+                    max(sum(math.perm(d, a) for d in degrees) for degrees in family_degrees(n, e))
+                    for a in profile
+                )
+                assert star_factor_upper_bound(H, n, e) == want
+
 
 class TestCrossoverScan:
     def test_density_strictly_inside_unit_interval(self):
@@ -137,10 +150,9 @@ class TestCrossoverScan:
 
     def test_crossover_consistent_with_samples(self):
         scan = crossover_scan(3, 14, 2)
-        if scan.crossover_e is not None:
-            for e, clique, star in scan.samples:
-                if e >= scan.crossover_e:
-                    assert clique >= star
+        for e, clique, star in scan.samples:
+            if e >= scan.crossover_e:
+                assert clique >= star
         for e, clique, star in scan.samples:
             assert clique == count_stars(quasi_clique(14, e), 3)
             assert star == count_stars(quasi_star(14, e), 3)
@@ -154,6 +166,16 @@ class TestCrossoverScan:
             for e, clique, star in scan.samples:
                 rec = ex_oracle(n, e, S2)
                 assert rec.maximum == max(clique, star)
+
+    def test_last_sample_ties_so_the_crossover_always_exists(self):
+        # at e = C(n, 2) both families are K_n
+        for j in range(2, 6):
+            for n in range(j + 2, 30):
+                for step in (1, 2, 3, 7):
+                    scan = crossover_scan(j, n, step)
+                    e, clique, star = scan.samples[-1]
+                    assert e == comb(n, 2) and clique == star
+                    assert type(scan.crossover_e) is int
 
     def test_rejects_tiny_hosts(self):
         with pytest.raises(ValueError):

@@ -1,13 +1,14 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from excount.asymptotics import crossover_scan
-from excount.edgelist import format_edgelist, parse_edgelist
+from excount.edgelist import format_edgelist, parse_edgelist, read_edgelist, write_edgelist
 from excount.graphs import GraphError, complete_bipartite, make_graph, path_graph
 from excount.oracle import DEFAULT_BUDGET, DEFAULT_WITNESSES, ex_bip_oracle, ex_oracle
 from excount.reporting import emit_report
@@ -96,6 +97,23 @@ class TestEdgeList:
             parse_edgelist(text)
         assert str(info.value) == message
 
+    def test_file_round_trip(self, tmp_path):
+        g = make_graph(6, [(0, 5), (1, 2), (2, 4)])
+        path = tmp_path / "g.txt"
+        write_edgelist(g, path)
+        assert path.read_text() == "6 3\n0 5\n1 2\n2 4\n"
+        assert read_edgelist(path) == g
+
+    def test_edgeless_vertices_cost_no_set_each(self):
+        tracemalloc.start()
+        try:
+            g = parse_edgelist("100000 0\n")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.n == 100000 and g.degrees[-1] == 0 and g.adj[-1] == frozenset()
+        assert peak < 8 * 2**20
+
     def test_header_vertex_count_capped(self, monkeypatch):
         monkeypatch.setattr("excount.edgelist.MAX_VERTICES", 5)
         assert parse_edgelist("5 0\n").n == 5
@@ -127,6 +145,15 @@ class TestReporting:
         payload = json.loads(emit_report([scan], format="json"))
         assert payload["kind"] == "scan"
         assert set(payload["rows"][0]) == {"e", "clique_count", "star_count", "leader"}
+
+    def test_json_meta_follows_the_rows_with_sorted_keys(self):
+        text = emit_report([crossover_scan(2, 4, 3)], "json", meta={"seed": 7, "alpha": "x"})
+        rows = [
+            {"e": e, "clique_count": c, "star_count": c, "leader": "tie"}
+            for e, c in ((0, "0"), (3, "3"), (6, "12"))
+        ]
+        meta = {"alpha": "x", "seed": 7}
+        assert text == json.dumps({"kind": "scan", "rows": rows, "meta": meta}, indent=2) + "\n"
 
     def test_meta_header_embeds_seed(self):
         text = emit_report([], format="csv", kind="extremal", meta={"seed": 42})
@@ -261,6 +288,26 @@ class TestCli:
         patt.write_text("4 3\n0 1\n1 2\n2 3\n")
         assert main(["decompose", "--pattern", str(patt), "--what", "profile"]) == 0
         assert capsys.readouterr().out.strip() == "1 1"
+
+    @pytest.mark.parametrize(
+        "what, edges, out, code",
+        [
+            ("star-partition", "6 5\n0 1\n1 2\n2 3\n3 4\n4 5\n",
+             "part center=0: 0 1\npart center=2: 2 3\npart center=4: 4 5\n", 0),
+            ("star-partition", "7 6\n0 1\n1 2\n1 3\n3 4\n4 5\n4 6\n",
+             "part center=1: 0 1 2\npart center=4: 3 4 5 6\n", 0),
+            ("edge-star-cover", "6 4\n0 1\n0 2\n0 3\n4 5\n",
+             "edge: 4 5\nstar center=0: 1 2 3\n", 0),
+            ("edge-star-cover", "4 3\n0 1\n1 2\n2 3\n", "edge: 0 1\nedge: 2 3\n", 0),
+            ("edge-star-cover", "4 3\n0 1\n1 2\n0 2\n", "no cover\n", 1),
+        ],
+        ids=["path-partition", "tree-partition", "star-and-edge", "matching", "no-cover"],
+    )
+    def test_decompose_output(self, tmp_path, capsys, what, edges, out, code):
+        patt = tmp_path / "p.txt"
+        patt.write_text(edges)
+        assert main(["decompose", "--pattern", str(patt), "--what", what]) == code
+        assert capsys.readouterr().out == out
 
     def test_oracle_csv(self, tmp_path, capsys):
         patt = tmp_path / "p.txt"

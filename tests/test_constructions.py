@@ -3,12 +3,15 @@ from math import comb
 import pytest
 
 from excount.constructions import (
+    CliqueDecomposition,
     bipartite_shape,
+    check_edge_count,
     clique_decomposition,
     family_degrees,
     quasi_clique,
     quasi_complete_bipartite,
     quasi_star,
+    small_side,
 )
 from excount.graphs import (
     GraphError,
@@ -33,6 +36,19 @@ class TestCliqueDecomposition:
     def test_zero(self):
         dec = clique_decomposition(0)
         assert (dec.a, dec.b) == (1, 0)
+
+    def test_matches_a_search_for_the_largest_clique(self):
+        for e in range(10**4):
+            a = 1
+            while comb(a + 1, 2) <= e:
+                a += 1
+            assert clique_decomposition(e) == CliqueDecomposition(a, e - comb(a, 2))
+
+    def test_split_of_a_huge_budget(self):
+        e = 10**18
+        dec = clique_decomposition(e)
+        assert comb(dec.a, 2) <= e < comb(dec.a + 1, 2)
+        assert 0 <= dec.b < dec.a and comb(dec.a, 2) + dec.b == e
 
     def test_identity_everywhere(self):
         for e in range(0, 300):
@@ -127,3 +143,25 @@ class TestQuasiCompleteBipartite:
     def test_shape_t_minimal(self):
         shape = bipartite_shape(8, 13)
         assert (shape.t, shape.deficiency, shape.deficient_vertex_degree) == (3, 2, 3)
+
+
+class TestEdgeBudget:
+    def test_accepts_the_closed_interval(self):
+        for e in (0, 5, 10):
+            check_edge_count(5, e, 10)
+
+    @pytest.mark.parametrize("e", [-1, 11])
+    def test_message(self, e):
+        with pytest.raises(GraphError) as info:
+            check_edge_count(5, e, 10)
+        assert str(info.value) == f"edge count {e} outside [0, 10] for n=5"
+
+
+class TestSmallSide:
+    def test_equals_the_least_side_by_search(self):
+        for n in range(81):
+            for e in range(n * n // 4 + 1):
+                t = 0
+                while t * (n - t) < e:
+                    t += 1
+                assert small_side(n, e) == t, (n, e)

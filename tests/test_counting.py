@@ -16,6 +16,7 @@ from excount.counting import (
     count_star_matching_pairs,
     count_stars,
     inj_homs,
+    star_sum,
 )
 from excount.graphs import (
     Graph,
@@ -68,6 +69,13 @@ class TestCountStars:
     def test_one_leaf_counts_every_edge_twice(self):
         g = make_graph(6, [(0, 1), (1, 2), (3, 4)])
         assert count_stars(g, 1) == 2 * g.edge_count
+
+    def test_equals_the_star_sum_of_the_degrees(self):
+        rng = random.Random(3)
+        for _ in range(200):
+            G = random_graph(rng)
+            for k in range(1, 5):
+                assert star_sum(G.degrees, k) == count_stars(G, k)
 
     def test_rejects_zero_leaves(self):
         with pytest.raises(ValueError):

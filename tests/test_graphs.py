@@ -157,6 +157,13 @@ class TestConjugate:
 
 
 class TestDiagram:
+    @given(partitions_st())
+    def test_rows_are_the_conjugate_of_the_columns(self, cols):
+        D = FerrersDiagram(cols)
+        assert D.rows == conjugate(cols)
+        assert repr(D) == f"FerrersDiagram(columns={cols!r})"
+        assert D == FerrersDiagram(list(cols)) and hash(D) == hash((cols,))
+
     def test_columns_must_be_sorted(self):
         with pytest.raises(GraphError):
             FerrersDiagram((2, 3))
@@ -187,6 +194,20 @@ class TestDiagram:
         assert nested_violation(g, P) is not None
         with pytest.raises(GraphError, match="incomparable"):
             diagram_of(g, P)
+
+    @pytest.mark.parametrize(
+        "left, right, message",
+        [
+            ({0, 1}, {1, 2, 3}, "bipartition parts overlap"),
+            ({0}, {1, 2}, "bipartition does not cover the vertex set"),
+            ({0, 1, 3}, {2}, "edge (0, 1) does not cross the bipartition"),
+        ],
+    )
+    def test_rejects_a_bad_bipartition(self, left, right, message):
+        g = path_graph(4)
+        with pytest.raises(GraphError) as info:
+            diagram_of(g, Bipartition(frozenset(left), frozenset(right)))
+        assert str(info.value) == message
 
     def test_auto_side_breaks_degree_ties_by_lowest_label(self):
         g = realize_diagram(FerrersDiagram((3, 3, 1)), 6)

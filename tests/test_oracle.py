@@ -147,6 +147,14 @@ class TestExBipOracle:
         with pytest.raises(GraphError):
             ex_bip_oracle(4, 5, star_graph(2))
 
+    def test_sides_are_every_p_whose_pool_holds_e_edges(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(oracle, "_sweep", lambda n, e, H, cls, sides, *rest: seen.append(sides))
+        for n in range(41):
+            for e in range(n * n // 4 + 1):
+                ex_bip_oracle(n, e, path_graph(2))
+                assert list(seen.pop()) == [p for p in range(n // 2 + 1) if p * (n - p) >= e]
+
     def test_witness_is_bipartite(self):
         from excount.graphs import bipartition_of
 

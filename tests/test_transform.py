@@ -253,6 +253,9 @@ class TestTopRowPack:
                         assert total_weight(got, k) >= total_weight(folded, k)
                     assert got.columns < folded.columns
 
+    def test_pack_can_empty_the_top_row(self):
+        assert top_row_pack(FerrersDiagram((2, 1)), 5) == FerrersDiagram((1, 1, 1))
+
     def test_rejects_unfolded_top_row(self):
         # rows (2,2,2,2,1): four rows want a square but the top row has one
         with pytest.raises(GraphError, match="fold"):
