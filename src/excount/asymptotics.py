@@ -13,8 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb, factorial
 
+from .constructions import bipartite_edge_max, clique_decomposition, family_degrees, small_side
 # bench/tracer.py wraps count_stars, inj_homs and quasi_* here, so they stay imported.
-from .constructions import clique_decomposition, family_degrees, quasi_clique, quasi_star  # noqa
+from .constructions import quasi_clique, quasi_star  # noqa: F401
 from .counting import count_stars, inj_homs, star_sum  # noqa: F401
 from .decomposition import star_factor_profile
 from .graphs import Graph, GraphError
@@ -24,10 +25,12 @@ def max_small_side(n: int, e: int) -> int:
     """Largest side size a <= n/2 with a(n - a) <= e; needs e >= n - 1."""
     if e < n - 1:
         raise GraphError(f"no side size fits: e={e} is below n-1={n - 1}")
-    for a in range(n // 2, 0, -1):
-        if a * (n - a) <= e:
-            return a
-    raise GraphError(f"no side size fits for n={n}, e={e}")
+    if n < 2:
+        raise GraphError(f"no side size fits for n={n}, e={e}")
+    if e >= bipartite_edge_max(n):
+        return n // 2
+    t = small_side(n, e)
+    return t if t * (n - t) == e else t - 1
 
 
 def disjoint_star_tuple_bound(profile: tuple[int, ...], e: int) -> int:

@@ -38,6 +38,11 @@ def check_edge_count(n: int, e: int, top: int) -> None:
         raise GraphError(f"edge count {e} outside [0, {top}] for n={n}")
 
 
+def bipartite_edge_max(n: int) -> int:
+    """floor(n^2 / 4), the most edges of a bipartite (or triangle-free) host on n vertices."""
+    return n * n // 4
+
+
 def small_side(n: int, e: int) -> int:
     """Least t with t(n - t) >= e, for 0 <= e <= n^2/4: the small side of B_n^e."""
     return (n - isqrt(n * n - 4 * e) + 1) // 2
@@ -82,10 +87,9 @@ class BipartiteShape:
 
 
 def bipartite_shape(n: int, e: int) -> BipartiteShape:
+    check_edge_count(n, e, bipartite_edge_max(n))
     if e < 1:
         raise GraphError(f"shape is defined for e >= 1, got {e}")
-    if e > n * n // 4:
-        raise GraphError(f"edge count {e} exceeds bipartite maximum {n * n // 4} for n={n}")
     t = small_side(n, e)
     deficiency = t * (n - t) - e
     degree = (n - t) - deficiency
@@ -101,7 +105,6 @@ def quasi_complete_bipartite(n: int, e: int) -> Graph:
     join vertex 0 to the highest-labeled large-side vertices. For e = 0
     the graph is empty (the shape parameter t is undefined there).
     """
-    check_edge_count(n, e, n * n // 4)
     if e == 0:
         return empty_graph(n)
     shape = bipartite_shape(n, e)

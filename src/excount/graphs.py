@@ -162,16 +162,32 @@ def bfs(G: Graph, roots: Iterable[int]) -> tuple[list[int], list[int | None]]:
     return order, parent
 
 
+def two_coloring(G: Graph) -> tuple[list[int], list[int]]:
+    """Component index and color (0 or 1) of each vertex, by `bfs` from every vertex in order.
+
+    Components are numbered in the order their lowest labels are reached;
+    colors alternate along the BFS tree, so they are a proper two-coloring
+    exactly when G is bipartite.
+    """
+    order, parent = bfs(G, range(G.n))
+    component, color = [0] * G.n, [0] * G.n
+    c = -1
+    for v in order:
+        if parent[v] == -1:
+            c += 1
+        else:
+            color[v] = 1 - color[parent[v]]
+        component[v] = c
+    return component, color
+
+
 def bipartition_of(G: Graph) -> Bipartition | None:
     """Two-color G if possible, else None.
 
     Per connected component the part containing the lowest-labeled vertex
     is chosen as the left part; isolated vertices go left.
     """
-    order, parent = bfs(G, range(G.n))
-    color = [0] * G.n
-    for v in order:
-        color[v] = 0 if parent[v] == -1 else 1 - color[parent[v]]
+    color = two_coloring(G)[1]
     if any(color[u] == color[v] for u, v in G.edges):
         return None
     left = frozenset(v for v in range(G.n) if color[v] == 0)

@@ -44,6 +44,26 @@ class TestMaxSmallSide:
         with pytest.raises(GraphError):
             max_small_side(10, 8)
 
+    def test_equals_the_largest_side_by_search(self):
+        def by_search(n, e):
+            for a in range(n // 2, 0, -1):
+                if a * (n - a) <= e:
+                    return a
+            return None
+
+        def closed_form(n, e):
+            try:
+                return max_small_side(n, e)
+            except GraphError:
+                return None
+
+        for n in range(301):
+            # Every e where a(n - a) <= e changes for some a, and the ends.
+            steps = {a * (n - a) + d for a in range(n // 2 + 1) for d in (-1, 0, 1)}
+            for e in steps | {-1, 0, n - 2, n - 1, n * n // 4 + 5}:
+                want = by_search(n, e) if e >= n - 1 else None
+                assert closed_form(n, e) == want, (n, e)
+
     def test_defining_property(self):
         for n in range(2, 20):
             for e in range(n - 1, n * n // 2):

@@ -4,6 +4,7 @@ import pytest
 
 from excount.constructions import (
     CliqueDecomposition,
+    bipartite_edge_max,
     bipartite_shape,
     check_edge_count,
     clique_decomposition,
@@ -155,6 +156,17 @@ class TestEdgeBudget:
         with pytest.raises(GraphError) as info:
             check_edge_count(5, e, 10)
         assert str(info.value) == f"edge count {e} outside [0, 10] for n=5"
+
+    @pytest.mark.parametrize("e", [-1, 17])
+    def test_bipartite_budget_is_checked_once_with_the_shared_message(self, e):
+        for build in (bipartite_shape, quasi_complete_bipartite):
+            with pytest.raises(GraphError) as info:
+                build(8, e)
+            assert str(info.value) == f"edge count {e} outside [0, 16] for n=8"
+
+    def test_bipartite_edge_max_is_the_largest_balanced_product(self):
+        for n in range(60):
+            assert bipartite_edge_max(n) == max(p * (n - p) for p in range(n // 2 + 1))
 
 
 class TestSmallSide:

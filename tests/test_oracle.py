@@ -1,13 +1,16 @@
+import functools
 import os
 import tracemalloc
 from itertools import combinations
-from math import comb
+from math import comb, perm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import excount.oracle as oracle
 from excount.constructions import quasi_clique, quasi_complete_bipartite, quasi_star
-from excount.counting import count_copies
+from excount.counting import PatternCounter, automorphism_count, count_copies
 from excount.graphs import (
     are_isomorphic,
     bipartition_of,
@@ -21,11 +24,214 @@ from excount.graphs import (
 )
 from excount.oracle import (
     EnumerationBudgetError,
+    ExtremalRecord,
     ex_bip_oracle,
     ex_oracle,
     ex_trifree_oracle,
     nonmonotonicity_demo,
 )
+from excount.reporting import emit_report
+
+ORACLES = {"all": ex_oracle, "bipartite": ex_bip_oracle, "triangle_free": ex_trifree_oracle}
+
+
+@functools.lru_cache(maxsize=None)
+def _orbit_roots(n):
+    """The least member of each labeled graph's orbit under relabeling, by union-find.
+
+    A graph on n vertices is a bitmask over combinations(range(n), 2). The
+    transposition (0 1) and the cycle (0 1 ... n-1) generate every
+    relabeling, so joining each mask with its two images joins each orbit.
+    """
+    pairs = list(combinations(range(n), 2))
+    index = {pair: i for i, pair in enumerate(pairs)}
+    moves = [{0: 1, 1: 0} if n > 1 else {}, {v: (v + 1) % n for v in range(n)}]
+    images = [
+        [1 << index[tuple(sorted((g.get(u, u), g.get(v, v))))] for u, v in pairs] for g in moves
+    ]
+    root = list(range(1 << len(pairs)))
+
+    def find(x):
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+
+    for mask in range(len(root)):
+        for image in images:
+            other = sum(bit for i, bit in enumerate(image) if mask >> i & 1)
+            a, b = find(mask), find(other)
+            if a != b:
+                root[max(a, b)] = min(a, b)
+    return [find(mask) for mask in range(len(root))]
+
+
+def _labeled_record(n, e, H, host_class, witnesses):
+    """The labeled sweep the class oracle replaced, kept as its reference.
+
+    Every e-subset of every pool is visited in pool-then-rank order, hosts
+    with a triangle are dropped for the triangle-free class, and the
+    witnesses are the earliest hosts that reach the maximum from distinct
+    isomorphism classes. Isomorphism is orbit membership under relabeling,
+    so each orbit is scored once: stars by the sum of d!/(d-k)! over the
+    degrees, other patterns by the backtracking counter.
+    """
+    if host_class == "bipartite":
+        pools = [
+            [(i, j) for i in range(p) for j in range(p, n)]
+            for p in range(n // 2 + 1)
+            if p * (n - p) >= e
+        ]
+    else:
+        pools = [list(combinations(range(n), 2))]
+    bit = {pair: 1 << i for i, pair in enumerate(combinations(range(n), 2))}
+    roots = _orbit_roots(n)
+    star = H.n >= 2 and H.edge_count == H.n - 1 == max(H.degrees)
+    counter = PatternCounter(H)
+    scores = {}
+    best, kept = -1, {}
+    for pool in pools:
+        for combo in combinations(pool, e):
+            orbit = roots[sum(map(bit.__getitem__, combo))]
+            if orbit not in scores:
+                g = make_graph(n, combo)
+                if host_class == "triangle_free" and not is_triangle_free(g):
+                    scores[orbit] = -1
+                elif star:
+                    scores[orbit] = sum(perm(d, H.n - 1) for d in g.degrees)
+                else:
+                    scores[orbit] = counter.count(g.adj, g.degrees)
+            score = scores[orbit]
+            if score > best:
+                best, kept = score, {}
+            if score == best and len(kept) < witnesses and orbit not in kept:
+                kept[orbit] = make_graph(n, combo)
+    return ExtremalRecord(
+        n, e, H, host_class, best // automorphism_count(H), tuple(kept.values())
+    )
+
+
+def _assert_same_record(rec, ref):
+    assert rec == ref
+    assert [w.sorted_edges() for w in rec.witnesses] == [w.sorted_edges() for w in ref.witnesses]
+    assert emit_report([rec]) == emit_report([ref])
+
+
+class _InlineExecutor:
+    """Stands in for the process pool: runs each shard in this process, in order."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+class TestRecordsMatchTheLabeledSweep:
+    @pytest.mark.parametrize("host_class", list(ORACLES))
+    @pytest.mark.parametrize(
+        "H",
+        [
+            star_graph(2),
+            path_graph(4),
+            complete_graph(3),
+            cycle_graph(4),
+            path_graph(5),
+            make_graph(4, [(0, 1), (2, 3)]),
+        ],
+        ids=["S2", "P4", "K3", "C4", "P5", "2K2"],
+    )
+    def test_every_edge_count_up_to_six_vertices(self, monkeypatch, H, host_class):
+        # Two reported CPUs give two shards per pool; they run in this process.
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(oracle, "ProcessPoolExecutor", _InlineExecutor)
+        sweep = ORACLES[host_class]
+        for n in range(1, 7):
+            top = comb(n, 2) if host_class == "all" else n * n // 4
+            for e in range(top + 1):
+                for witnesses in (1, 3):
+                    ref = _labeled_record(n, e, H, host_class, witnesses)
+                    for threads in (1, 2):
+                        rec = sweep(n, e, H, witnesses=witnesses, threads=threads)
+                        _assert_same_record(rec, ref)
+
+    @pytest.mark.parametrize("host_class", list(ORACLES))
+    def test_worker_processes_return_the_labeled_records(self, monkeypatch, host_class):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        H = path_graph(4)
+        for e in (5, 6):
+            ref = _labeled_record(6, e, H, host_class, 3)
+            _assert_same_record(ORACLES[host_class](6, e, H, threads=2), ref)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_random_patterns(self, data):
+        k = data.draw(st.integers(1, 5), label="pattern vertices")
+        pairs = list(combinations(range(k), 2))
+        mask = data.draw(st.integers(0, 2 ** len(pairs) - 1), label="pattern edges")
+        H = make_graph(k, [pair for i, pair in enumerate(pairs) if mask >> i & 1])
+        host_class = data.draw(st.sampled_from(list(ORACLES)), label="host class")
+        n = data.draw(st.integers(1, 6), label="n")
+        top = comb(n, 2) if host_class == "all" else n * n // 4
+        e = data.draw(st.integers(0, top), label="e")
+        ref = _labeled_record(n, e, H, host_class, 3)
+        _assert_same_record(ORACLES[host_class](n, e, H), ref)
+
+
+class TestClasses:
+    # Graphs, triangle-free graphs and bipartite graphs up to isomorphism
+    # on n = 1, 2, ... vertices (OEIS A000088, A006785, A033995).
+    @pytest.mark.parametrize(
+        "host_class, totals",
+        [
+            ("all", [1, 2, 4, 11, 34, 156, 1044]),
+            ("triangle_free", [1, 2, 3, 7, 14, 38, 107]),
+            ("bipartite", [1, 2, 3, 7, 13, 35, 88, 303]),
+        ],
+    )
+    def test_class_counts(self, host_class, totals):
+        for n, total in enumerate(totals, start=1):
+            top = comb(n, 2) if host_class == "all" else n * n // 4
+            found = [list(oracle._classes(n, e, host_class)) for e in range(top + 1)]
+            assert sum(map(len, found)) == total, n
+            for e, graphs in enumerate(found):
+                for i, g in enumerate(graphs):
+                    assert g.edge_count == e
+                    assert not any(are_isomorphic(g, h) for h in graphs[:i])
+
+    def test_left_sizes_are_the_left_parts_of_every_two_coloring(self):
+        for n in range(1, 6):
+            pairs = list(combinations(range(n), 2))
+            for e in range(len(pairs) + 1):
+                for combo in combinations(pairs, e):
+                    g = make_graph(n, combo)
+                    if bipartition_of(g) is None:
+                        continue
+                    want = {
+                        len(left)
+                        for r in range(n + 1)
+                        for left in combinations(range(n), r)
+                        if all((u in left) != (v in left) for u, v in combo)
+                    }
+                    assert oracle._left_sizes(g) == want, combo
+
+    def test_walk_builds_only_hosts_that_can_be_witnesses(self, monkeypatch):
+        built = []
+
+        def counting_make_graph(n, edges):
+            built.append(n)
+            return make_graph(n, edges)
+
+        monkeypatch.setattr(oracle, "make_graph", counting_make_graph)
+        rec = ex_oracle(300, 1, star_graph(2))
+        assert rec.maximum == 0 and rec.witnesses == (make_graph(300, [(0, 1)]),)
+        assert len(built) <= 4
 
 
 class TestExOracle:
@@ -246,6 +452,11 @@ class TestOracleAllocation:
         outcome, peak = _traced_peak_mb(ex_oracle, 300, 0, path_graph(4))
         assert outcome.maximum == 0
         assert peak < 8
+
+    def test_single_host_pool_is_emitted_directly(self):
+        outcome, peak = _traced_peak_mb(ex_oracle, 2000, 0, path_graph(4))
+        assert outcome.witnesses == (empty_graph(2000),)
+        assert peak < 1
 
 
 class TestNonmonotonicity:
