@@ -101,7 +101,6 @@ def _cmd_oracle(args) -> int:
         pattern,
         budget=args.budget,
         witnesses=args.witnesses,
-        threads=args.threads,
     )
     print(f"maximum: {record.maximum}")
     for w in record.witnesses:
@@ -135,7 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact subgraph counting and edge-budget extremal experiments",
     )
     parser.add_argument("--seed", type=int, default=42, help="seed for randomized sweeps")
-    parser.add_argument("--threads", type=int, default=1, help="parallel oracle shards")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     sub = parser.add_subparsers(dest="command", required=True)
 

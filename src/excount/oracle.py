@@ -17,25 +17,19 @@ star patterns, the backtracking counter otherwise); the maximum is that
 score divided once by the pattern's automorphism count.
 
 Witnesses are the labeled hosts a labeled sweep would keep: the earliest
-pairwise non-isomorphic maximal hosts in pool-then-rank order, where a
-pool is every pair or the cross pairs of one bipartition side and ranks
-order a pool's e-subsets lexicographically. The budget counts those
-labeled subsets, the walk's worst case, and is checked from closed-form
-pool sizes before anything is built. Each pool's ranks split into
-contiguous shards. A shard walks its range as an islice of
-itertools.combinations, builds a host only when its sorted degree
-sequence is that of a maximal class it does not hold yet, and stops once
-it holds the witnesses asked for or one host of every maximal class its
-pool can hold. One deterministic merge in pool-then-rank order keeps the
-earliest pairwise non-isomorphic witnesses, so parallel and serial runs
-return identical records.
+maximal hosts of distinct classes in pool-then-rank order, where a pool is
+every pair or the cross pairs of one bipartition side p (left part 0..p-1)
+and ranks order a pool's e-subsets lexicographically. The lowest-rank copy
+of a class in a pool is found by a first-labeling search after McKay and
+Piperno (J. Symb. Comput. 2014), see `_first_labeling`, so no labeled
+host is walked. The budget still counts the labeled e-subsets of the
+pools, the size of the labeled sweep, and is checked from closed-form pool
+sizes before anything is built.
 """
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import chain, combinations, islice, repeat
+from itertools import combinations, product, repeat
 from math import comb, perm
 
 from .constructions import bipartite_edge_max, check_edge_count, small_side
@@ -68,34 +62,6 @@ class ExtremalRecord:
     host_class: str
     maximum: int
     witnesses: tuple[Graph, ...]
-
-
-def _star_leaf_count(H: Graph) -> int | None:
-    """Leaf count when H is a star (including the single edge), else None."""
-    if H.n < 2 or H.edge_count != H.n - 1:
-        return None
-    if max(H.degrees) != H.n - 1:
-        return None
-    return H.n - 1
-
-
-def _pool(n: int, p: int | None):
-    """Candidate pairs: every pair when p is None, else the cross pairs i < p <= j."""
-    if p is None:
-        return combinations(range(n), 2)
-    return ((i, j) for i in range(p) for j in range(p, n))
-
-
-def _left_sizes(G: Graph) -> set[int]:
-    """Every left-part size of a two-coloring of bipartite G, each component colored either way."""
-    component, color = two_coloring(G)
-    sides = [[0, 0] for _ in range(max(component, default=-1) + 1)]
-    for c, k in zip(component, color):
-        sides[c][k] += 1
-    sizes = {0}
-    for a, b in sides:
-        sizes = {s + a for s in sizes} | {s + b for s in sizes}
-    return sizes
 
 
 def _vertex_invariants(masks: list[int]) -> list[tuple[int, ...]]:
@@ -186,50 +152,91 @@ def _classes(n: int, e: int, host_class: str):
         yield complement(G) if flip else G
 
 
-def _scan_shard(
-    n: int,
-    p: int | None,
-    e: int,
-    start: int,
-    stop: int,
-    targets: list[Graph],
-    keep: int,
-) -> list[Graph]:
-    """The earliest host of each class in targets among the ranks [start, stop).
+def _first_labeling(masks: list[int], twins: list[int], rows: int, cols: int | None) -> list[int]:
+    """Row vertices, then column vertices, in the label order with the lex-max indicator string.
 
-    The ranks order the e-subsets of _pool(n, p) lexicographically. A host
-    is built only when its sorted degree sequence is that of a target class
-    not held yet, and the walk stops once it holds keep hosts or one of
-    every target. Rank 0 is the pool's first e pairs, taken directly, so a
-    pool with a single e-subset (e = 0 or e the pool size) is never
-    expanded by combinations.
+    The string reads each row over its columns in label order. With cols
+    None the pool is every pair: the rows are also the columns, and a
+    row's columns are the vertices labeled after it. Otherwise rows is the
+    left part and cols the right part. The unlabeled columns form an
+    ordered partition into cells; each new label splits every cell into
+    its neighbors, then its non-neighbors, so a candidate's best row is
+    1^a 0^(s-a) per cell, compared as the tuple of the a. With every pair a
+    candidate must lie in the first cell. Only the candidates with the
+    largest row are kept, one per twin class, and states are deduplicated
+    by their unlabeled rows and ordered partition, since earlier labels do
+    not affect later rows.
     """
-    pending: dict[tuple[int, ...], list[Graph]] = {}
-    for G in targets:
-        pending.setdefault(tuple(sorted(G.degrees)), []).append(G)
-    want = min(keep, len(targets))
-    if stop == 1:
-        hosts = [tuple(islice(_pool(n, p), e))]
+    same = cols is None
+    states = {(rows, (rows if same else cols,)): []}
+    for _ in range(rows.bit_count()):
+        best, found = (), {}
+        for (left, cells), seq in states.items():
+            pick = cells[0] if same else left
+            for twin in twins:
+                bit = (m := twin & pick) & -m
+                if not bit:
+                    continue
+                v = bit.bit_length() - 1
+                near = masks[v]
+                split = (cells[0] ^ bit, *cells[1:]) if same else cells
+                row = tuple((near & c).bit_count() for c in split)
+                if row >= best:
+                    if row > best:
+                        best, found = row, {}
+                    after = tuple(x for c in split for x in (c & near, c & ~near) if x)
+                    found.setdefault((left ^ bit, after), seq + [v])
+        states = found
+    (_, cells), seq = next(iter(states.items()))
+    return seq + [v for c in cells for v in range(c.bit_length()) if c >> v & 1]
+
+
+def _first_host(G: Graph, p: int | None) -> tuple[tuple[int, int], ...] | None:
+    """The lowest-rank labeled copy of G in pool p as sorted pairs, or None if p holds none.
+
+    Pool None is every pair; pool p is the cross pairs of left part
+    0..p-1. Pairs in row order sort as their ranks, so the least sorted
+    pair tuple is the lowest rank. For pool p every two-coloring of the
+    components with edges that reaches p left vertices once isolated
+    vertices are added is searched, keeping the least host. Isolated
+    vertices take the last labels: the last left labels, then the last
+    right labels. Swapping twins (equal open or equal closed
+    neighborhoods) is an automorphism, and a vertex with a false twin has
+    no true twin, so each vertex's twin class is the union of both.
+    """
+    masks = [sum(1 << w for w in a) for a in G.adj]
+    live = [v for v in range(G.n) if masks[v]]
+    isolated = [v for v in range(G.n) if not masks[v]]
+    false: dict[int, int] = {}
+    true: dict[int, int] = {}
+    for v in live:
+        false[masks[v]] = false.get(masks[v], 0) | 1 << v
+        true[masks[v] | 1 << v] = true.get(masks[v] | 1 << v, 0) | 1 << v
+    twins = list({false[masks[v]] | true[masks[v] | 1 << v] for v in live})
+    everyone = sum(1 << v for v in live)
+    if p is None:
+        orders = [_first_labeling(masks, twins, everyone, None) + isolated]
     else:
-        hosts = islice(combinations(_pool(n, p), e), start, stop)
-    wits: list[Graph] = []
-    for combo in hosts:
-        deg = [0] * n
-        for u, v in combo:
-            deg[u] += 1
-            deg[v] += 1
-        classes = pending.get(tuple(sorted(deg)))
-        if not classes:
-            continue
-        g = make_graph(n, combo)
-        for i, c in enumerate(classes):
-            if are_isomorphic(g, c):
-                del classes[i]
-                wits.append(g)
-                break
-        if len(wits) == want:
-            break
-    return wits
+        component, color = two_coloring(G)
+        sides: dict[int, list[int]] = {}
+        for v in live:
+            sides.setdefault(component[v], [0, 0])[color[v]] |= 1 << v
+        orders = []
+        for flips in product((0, 1), repeat=len(sides)):
+            left = sum(map(list.__getitem__, sides.values(), flips))
+            k, rows = p - left.bit_count(), left.bit_count()
+            if 0 <= k <= len(isolated):
+                order = _first_labeling(masks, twins, left, everyone ^ left)
+                orders.append(order[:rows] + isolated[:k] + order[rows:] + isolated[k:])
+    hosts = []
+    for order in orders:
+        label = [0] * G.n
+        for i, v in enumerate(order):
+            label[v] = i
+        hosts.append(tuple(
+            (i, j) for i, v in enumerate(order) for j in sorted([label[w] for w in G.adj[v]]) if j > i
+        ))
+    return min(hosts, default=None)
 
 
 def _sweep(
@@ -240,19 +247,22 @@ def _sweep(
     sides: range | list[None],
     budget: int,
     witnesses: int,
-    threads: int,
 ) -> ExtremalRecord:
-    """Check the budget from the pool sizes, score each class once, walk the pools for witnesses."""
-    totals = [comb(comb(n, 2) if p is None else p * (n - p), e) for p in sides]
-    required = sum(totals)
+    """Check the budget from the pool sizes, score each class once, search the maximal ones for witnesses.
+
+    A maximal class is keyed by the first pool in sides that holds it and
+    its lowest-rank copy there; the witnesses are the first keys.
+    """
+    required = sum(comb(comb(n, 2) if p is None else p * (n - p), e) for p in sides)
     if required > budget:
         raise EnumerationBudgetError(required, budget)
-    star_k = _star_leaf_count(H)
-    counter = PatternCounter(H) if star_k is None else None
+    # A star (the single edge included) scores by the degree formula.
+    star = H.n >= 2 and H.edge_count == H.n - 1 == max(H.degrees)
+    counter = None if star else PatternCounter(H)
     best, maximal = -1, []
     for G in _classes(n, e, host_class):
         if counter is None:
-            score = sum(map(perm, G.degrees, repeat(star_k)))
+            score = sum(map(perm, G.degrees, repeat(H.n - 1)))
         else:
             score = counter.count(G.adj, G.degrees)
         if score > best:
@@ -260,29 +270,11 @@ def _sweep(
         if score == best:
             maximal.append(G)
 
-    workers = min(threads, os.cpu_count() or 1)
-    shards = 1 if workers <= 1 or required < 4 * workers else workers
-    jobs = []
-    for p, total in zip(sides, totals):
-        targets = [G for G in maximal if p is None or p in _left_sizes(G)]
-        if witnesses < 1 or not targets:
-            continue
-        bounds = [total * i // shards for i in range(shards + 1)]
-        jobs += [
-            (n, p, e, start, stop, targets, witnesses)
-            for start, stop in zip(bounds, bounds[1:])
-            if start < stop
-        ]
-    if shards == 1 or not jobs:
-        results = [_scan_shard(*job) for job in jobs]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as executor:
-            results = list(executor.map(_scan_shard, *zip(*jobs)))
-
-    kept: list[Graph] = []
-    for g in chain.from_iterable(results):
-        if len(kept) < witnesses and not any(are_isomorphic(g, w) for w in kept):
-            kept.append(g)
+    keys = []
+    for G in maximal if witnesses > 0 else ():
+        hosts = (_first_host(G, p) for p in sides)
+        keys.append(next((i, host) for i, host in enumerate(hosts) if host is not None))
+    kept = [make_graph(n, host) for _, host in sorted(keys)[:witnesses]]
     aut = automorphism_count(H)
     if best % aut:
         raise RuntimeError(f"injective hom count {best} not divisible by {aut} automorphisms")
@@ -303,9 +295,13 @@ def ex_oracle(
     witnesses: int = DEFAULT_WITNESSES,
     threads: int = 1,
 ) -> ExtremalRecord:
-    """Exact maximum of N(H, G) over all labeled e-edge hosts on n vertices."""
+    """Exact maximum of N(H, G) over all labeled e-edge hosts on n vertices.
+
+    threads is accepted for compatibility and selects no code path: every
+    sweep runs in the calling thread.
+    """
     check_edge_count(n, e, comb(n, 2))
-    return _sweep(n, e, H, "all", [None], budget, witnesses, threads)
+    return _sweep(n, e, H, "all", [None], budget, witnesses)
 
 
 def ex_bip_oracle(
@@ -320,14 +316,15 @@ def ex_bip_oracle(
     """Exact maximum of N(H, B) over bipartite e-edge hosts on n vertices.
 
     The maximum is taken over the bipartite classes. Witnesses come from
-    one pool per small-side size p with p(n - p) >= e: the left part is
-    the lowest p labels, and a pool is walked only for the maximal classes
-    with a p-vertex left part. At e = 0 the p = 0 pool supplies the empty
-    host.
+    one pool per small-side size p with p(n - p) >= e, whose left part is
+    the lowest p labels: each maximal class takes its lowest-rank copy in
+    the first pool where it has a p-vertex left part. At e = 0 the p = 0
+    pool supplies the empty host. threads selects no code path, as in
+    `ex_oracle`.
     """
     check_edge_count(n, e, bipartite_edge_max(n))
     sides = range(small_side(n, e), n // 2 + 1)
-    return _sweep(n, e, H, "bipartite", sides, budget, witnesses, threads)
+    return _sweep(n, e, H, "bipartite", sides, budget, witnesses)
 
 
 def ex_trifree_oracle(
@@ -339,12 +336,12 @@ def ex_trifree_oracle(
     witnesses: int = DEFAULT_WITNESSES,
     threads: int = 1,
 ) -> ExtremalRecord:
-    """Exact maximum of N(H, G) over triangle-free e-edge hosts."""
+    """Exact maximum of N(H, G) over triangle-free e-edge hosts; threads as in `ex_oracle`."""
     check_edge_count(n, e, comb(n, 2))
     top = bipartite_edge_max(n)
     if e > top:
         raise GraphError(f"no triangle-free host exists: {e} edges exceed the bound {top}")
-    return _sweep(n, e, H, "triangle_free", [None], budget, witnesses, threads)
+    return _sweep(n, e, H, "triangle_free", [None], budget, witnesses)
 
 
 def nonmonotonicity_demo(**kwargs) -> tuple[int, int]:

@@ -1,7 +1,6 @@
 import functools
-import os
 import tracemalloc
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb, perm
 
 import pytest
@@ -117,22 +116,6 @@ def _assert_same_record(rec, ref):
     assert emit_report([rec]) == emit_report([ref])
 
 
-class _InlineExecutor:
-    """Stands in for the process pool: runs each shard in this process, in order."""
-
-    def __init__(self, max_workers):
-        pass
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, *iterables):
-        return map(fn, *iterables)
-
-
 class TestRecordsMatchTheLabeledSweep:
     @pytest.mark.parametrize("host_class", list(ORACLES))
     @pytest.mark.parametrize(
@@ -147,10 +130,7 @@ class TestRecordsMatchTheLabeledSweep:
         ],
         ids=["S2", "P4", "K3", "C4", "P5", "2K2"],
     )
-    def test_every_edge_count_up_to_six_vertices(self, monkeypatch, H, host_class):
-        # Two reported CPUs give two shards per pool; they run in this process.
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(oracle, "ProcessPoolExecutor", _InlineExecutor)
+    def test_every_edge_count_up_to_six_vertices(self, H, host_class):
         sweep = ORACLES[host_class]
         for n in range(1, 7):
             top = comb(n, 2) if host_class == "all" else n * n // 4
@@ -160,14 +140,6 @@ class TestRecordsMatchTheLabeledSweep:
                     for threads in (1, 2):
                         rec = sweep(n, e, H, witnesses=witnesses, threads=threads)
                         _assert_same_record(rec, ref)
-
-    @pytest.mark.parametrize("host_class", list(ORACLES))
-    def test_worker_processes_return_the_labeled_records(self, monkeypatch, host_class):
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        H = path_graph(4)
-        for e in (5, 6):
-            ref = _labeled_record(6, e, H, host_class, 3)
-            _assert_same_record(ORACLES[host_class](6, e, H, threads=2), ref)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -206,6 +178,7 @@ class TestClasses:
                     assert not any(are_isomorphic(g, h) for h in graphs[:i])
 
     def test_left_sizes_are_the_left_parts_of_every_two_coloring(self):
+        # A bipartite pool holds a copy of g exactly when p is a left-part size of g.
         for n in range(1, 6):
             pairs = list(combinations(range(n), 2))
             for e in range(len(pairs) + 1):
@@ -219,7 +192,8 @@ class TestClasses:
                         for left in combinations(range(n), r)
                         if all((u in left) != (v in left) for u, v in combo)
                     }
-                    assert oracle._left_sizes(g) == want, combo
+                    got = {p for p in range(n + 1) if oracle._first_host(g, p) is not None}
+                    assert got == want, combo
 
     def test_walk_builds_only_hosts_that_can_be_witnesses(self, monkeypatch):
         built = []
@@ -232,6 +206,53 @@ class TestClasses:
         rec = ex_oracle(300, 1, star_graph(2))
         assert rec.maximum == 0 and rec.witnesses == (make_graph(300, [(0, 1)]),)
         assert len(built) <= 4
+
+
+class TestFirstHost:
+    @pytest.mark.parametrize("host_class", list(ORACLES))
+    def test_is_the_least_relabeling_of_every_class(self, host_class):
+        # Brute force over all n! relabelings: the least sorted tuple of pool
+        # indices among the relabelings whose edges all lie in the pool.
+        for n in range(1, 7):
+            perms = list(permutations(range(n)))
+            top = comb(n, 2) if host_class == "all" else n * n // 4
+            if host_class == "bipartite":
+                pools = {p: [(i, j) for i in range(p) for j in range(p, n)] for p in range(n // 2 + 1)}
+            else:
+                pools = {None: list(combinations(range(n), 2))}
+            for e in range(top + 1):
+                for G in oracle._classes(n, e, host_class):
+                    edges = G.sorted_edges()
+                    for p, pool in pools.items():
+                        index = {pair: i for i, pair in enumerate(pool)}
+                        ranks = []
+                        for pi in perms:
+                            moved = [(min(pi[u], pi[v]), max(pi[u], pi[v])) for u, v in edges]
+                            if all(pair in index for pair in moved):
+                                ranks.append(tuple(sorted(index[pair] for pair in moved)))
+                        host = oracle._first_host(G, p)
+                        if not ranks:
+                            assert host is None, (edges, p)
+                        else:
+                            assert tuple(index[pair] for pair in host) == min(ranks), (edges, p)
+
+    def test_witness_search_builds_one_graph_per_maximal_class(self, monkeypatch):
+        built = []
+
+        def counting_make_graph(n, edges):
+            built.append(n)
+            return make_graph(n, edges)
+
+        monkeypatch.setattr(oracle, "make_graph", counting_make_graph)
+        H = path_graph(4)
+        classes = list(oracle._classes(8, 16, "triangle_free"))
+        class_builds = len(built)
+        built.clear()
+        rec = ex_trifree_oracle(8, 16, H)
+        maximal = [G for G in classes if count_copies(H, G) == rec.maximum]
+        assert len(built) <= class_builds + len(maximal)
+        k44 = [(0, 1), (0, 2), (0, 3), (0, 4)] + [(i, j) for i in (1, 2, 3, 4) for j in (5, 6, 7)]
+        assert [w.sorted_edges() for w in rec.witnesses] == [k44]
 
 
 class TestExOracle:
@@ -281,47 +302,15 @@ class TestExOracle:
             ex_oracle(10, 20, star_graph(2), budget=1000)
 
     def test_threads_match_serial(self):
-        serial = ex_oracle(5, 5, star_graph(2), threads=1)
-        parallel = ex_oracle(5, 5, star_graph(2), threads=2)
-        assert serial == parallel
-
-    @pytest.mark.parametrize("threads", [2, 3])
-    @pytest.mark.parametrize(
-        "sweep, n, e, pattern",
-        [
-            (ex_oracle, 6, 7, path_graph(4)),
-            (ex_trifree_oracle, 6, 7, path_graph(4)),
-            (ex_bip_oracle, 8, 10, path_graph(4)),
-        ],
-        ids=["counter", "triangle-filter", "bipartite-pools"],
-    )
-    def test_shards_match_serial(self, monkeypatch, sweep, n, e, pattern, threads):
-        # Three reported CPUs keep threads=3 from being clamped to fewer shards.
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        assert sweep(n, e, pattern, threads=threads) == sweep(n, e, pattern, threads=1)
-
-    def test_workers_clamped_to_cpu_count(self, monkeypatch):
-        class InlineExecutor:
-            max_workers = []
-
-            def __init__(self, max_workers):
-                self.max_workers.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(oracle, "ProcessPoolExecutor", InlineExecutor)
-        serial = ex_oracle(6, 7, path_graph(4), threads=1)
-        clamped = ex_oracle(6, 7, path_graph(4), threads=10**6)
-        assert InlineExecutor.max_workers == [2]
-        assert clamped == serial
+        # threads selects no code path; a huge value must not start anything.
+        cases = [(ex_oracle, 5, 5, star_graph(2))]
+        cases += [(sweep, n, e, path_graph(4)) for sweep, n, e in (
+            (ex_oracle, 6, 7), (ex_trifree_oracle, 6, 7), (ex_bip_oracle, 8, 10)
+        )]
+        for sweep, n, e, H in cases:
+            serial = sweep(n, e, H, threads=1)
+            for threads in (2, 10**6):
+                _assert_same_record(sweep(n, e, H, threads=threads), serial)
 
 
 class TestExBipOracle:

@@ -1,4 +1,5 @@
 import ast
+import sys
 from pathlib import Path
 
 import excount
@@ -22,3 +23,20 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert) or _raises_assertion_error(node)
     ]
     assert found == []
+
+
+def test_imports_are_relative_or_stdlib_and_start_no_processes():
+    """The runtime is stdlib-only, and no thread count can make it start processes."""
+    sources = sorted(Path(excount.__file__).parent.glob("*.py"))
+    modules = []
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                modules += [(path.name, alias.name) for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules.append((path.name, node.module))
+    assert modules
+    outside = [m for m in modules if m[1].partition(".")[0] not in sys.stdlib_module_names]
+    assert outside == []
+    spawning = [m for m in modules if m[1].partition(".")[0] in ("concurrent", "multiprocessing")]
+    assert spawning == []
