@@ -1,4 +1,6 @@
 import functools
+import multiprocessing.process
+import threading
 import tracemalloc
 from itertools import combinations, permutations
 from math import comb, perm
@@ -301,16 +303,34 @@ class TestExOracle:
         with pytest.raises(EnumerationBudgetError, match="raise the budget"):
             ex_oracle(10, 20, star_graph(2), budget=1000)
 
+    # threads selects no code path: every thread count gives the serial record.
     def test_threads_match_serial(self):
-        # threads selects no code path; a huge value must not start anything.
-        cases = [(ex_oracle, 5, 5, star_graph(2))]
-        cases += [(sweep, n, e, path_graph(4)) for sweep, n, e in (
-            (ex_oracle, 6, 7), (ex_trifree_oracle, 6, 7), (ex_bip_oracle, 8, 10)
-        )]
-        for sweep, n, e, H in cases:
-            serial = sweep(n, e, H, threads=1)
-            for threads in (2, 10**6):
-                _assert_same_record(sweep(n, e, H, threads=threads), serial)
+        serial = ex_oracle(5, 5, star_graph(2), threads=1)
+        for threads in (2, 10**6):
+            _assert_same_record(ex_oracle(5, 5, star_graph(2), threads=threads), serial)
+
+    @pytest.mark.parametrize("threads", [2, 3])
+    @pytest.mark.parametrize(
+        "sweep, n, e, pattern",
+        [
+            (ex_oracle, 6, 7, path_graph(4)),
+            (ex_trifree_oracle, 6, 7, path_graph(4)),
+            (ex_bip_oracle, 8, 10, path_graph(4)),
+        ],
+        ids=["counter", "triangle-filter", "bipartite-pools"],
+    )
+    def test_shards_match_serial(self, sweep, n, e, pattern, threads):
+        _assert_same_record(sweep(n, e, pattern, threads=threads), sweep(n, e, pattern, threads=1))
+
+    def test_workers_clamped_to_cpu_count(self, monkeypatch):
+        # A huge thread count starts no thread and no process.
+        def refuse(self):
+            raise AssertionError("the oracle started a thread or process")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+        serial = ex_oracle(6, 7, path_graph(4), threads=1)
+        _assert_same_record(ex_oracle(6, 7, path_graph(4), threads=10**6), serial)
 
 
 class TestExBipOracle:
