@@ -12,7 +12,7 @@ from itertools import repeat
 from math import comb, factorial
 from typing import Iterable, Sequence
 
-from .graphs import Graph, bfs, disjoint_union, path_graph, star_graph
+from .graphs import Graph, bfs, disjoint_union, path_graph, star_graph, twin_classes
 
 
 def count_stars(G: Graph, k: int) -> int:
@@ -38,20 +38,42 @@ class PatternCounter:
     reference for the basis. Vertices are visited in BFS order from each
     component's highest-degree vertex, components by that degree, so each
     later vertex of a component has a placed neighbor to prune against.
+
+    Twin symmetry is broken after Grochow and Kellis (RECOMB 2007), with
+    twins (see `twin_classes`) in place of a precomputed automorphism
+    group. Permuting images within a twin class maps injective
+    homomorphisms to injective homomorphisms, so the group of those
+    permutations acts freely on the maps, and each orbit holds exactly one
+    map whose images increase along every class in visiting order. Only
+    those maps are searched, and the count is their number times the
+    product of the class-size factorials. A class member's image lies above
+    the previous member's and below n_G minus the members still to come.
     """
 
-    __slots__ = ("pattern_n", "order", "parents", "mindeg")
+    __slots__ = ("pattern_n", "order", "parents", "mindeg", "twin_before", "twins_after", "orbit")
 
     def __init__(self, pattern: Graph):
         order = bfs(pattern, sorted(range(pattern.n), key=lambda v: (-pattern.degrees[v], v)))[0]
         index_of = {v: i for i, v in enumerate(order)}
-        self.pattern_n = pattern.n
+        nH = pattern.n
+        self.pattern_n = nH
         self.order = tuple(order)
         self.parents = tuple(
             tuple(index_of[w] for w in pattern.adj[v] if index_of[w] < i)
             for i, v in enumerate(order)
         )
         self.mindeg = tuple(pattern.degrees[v] for v in order)
+        # per position: the previous twin's position (nH, an image slot holding -1, if none)
+        # and the number of twins still to come
+        before, after = [nH] * nH, [0] * nH
+        self.orbit = 1
+        for members in twin_classes(pattern):
+            spots = sorted(index_of[v] for v in members)
+            for k, i in enumerate(spots):
+                before[i] = spots[k - 1] if k else nH
+                after[i] = len(spots) - 1 - k
+            self.orbit *= factorial(len(spots))
+        self.twin_before, self.twins_after = tuple(before), tuple(after)
 
     def count(self, adj: Sequence[frozenset[int] | set[int]], degrees: Sequence[int]) -> int:
         nH = self.pattern_n
@@ -59,23 +81,25 @@ class PatternCounter:
         if nH > nG:
             return 0
         parents, mindeg = self.parents, self.mindeg
+        twin_before, twins_after = self.twin_before, self.twins_after
         used = [False] * nG
-        images = [0] * nH
+        images = [0] * nH + [-1]
 
         def extend(i: int) -> int:
             if i == nH:
                 return 1
             total = 0
             need = mindeg[i]
+            lo, hi = images[twin_before[i]], nG - twins_after[i]
             ps = parents[i]
             if ps:
                 cands = adj[images[ps[0]]]
                 for p in ps[1:]:
                     cands = cands & adj[images[p]]
             else:
-                cands = range(nG)
+                cands = range(lo + 1, hi)
             for v in cands:
-                if used[v] or degrees[v] < need:
+                if used[v] or degrees[v] < need or not lo < v < hi:
                     continue
                 used[v] = True
                 images[i] = v
@@ -83,7 +107,7 @@ class PatternCounter:
                 used[v] = False
             return total
 
-        return extend(0)
+        return extend(0) * self.orbit
 
 
 BASIS_MAX_VERTICES = 8  # Bell(8) = 4140 partitions
@@ -190,6 +214,10 @@ def automorphism_count(H: Graph) -> int:
     An injective edge-preserving self-map is a bijection, and with equal
     edge counts it maps the edge set onto itself, so non-adjacency is
     preserved automatically and PatternCounter(H) counts exactly the group.
+    Permutations within twin classes act freely on the group, so the
+    counter walks only the automorphisms with increasing images along each
+    class and multiplies by the product of the class-size factorials: the
+    edgeless pattern is one root-to-leaf path.
     """
     return PatternCounter(H).count(H.adj, H.degrees)
 

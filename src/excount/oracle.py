@@ -34,7 +34,7 @@ from math import comb, perm
 
 from .constructions import bipartite_edge_max, check_edge_count, small_side
 from .counting import PatternCounter, automorphism_count, count_copies
-from .graphs import Graph, GraphError, are_isomorphic, complement, make_graph, two_coloring
+from .graphs import Graph, GraphError, are_isomorphic, complement, make_graph, twin_classes, two_coloring
 
 DEFAULT_BUDGET = 10**8
 DEFAULT_WITNESSES = 3
@@ -200,19 +200,13 @@ def _first_host(G: Graph, p: int | None) -> tuple[tuple[int, int], ...] | None:
     components with edges that reaches p left vertices once isolated
     vertices are added is searched, keeping the least host. Isolated
     vertices take the last labels: the last left labels, then the last
-    right labels. Swapping twins (equal open or equal closed
-    neighborhoods) is an automorphism, and a vertex with a false twin has
-    no true twin, so each vertex's twin class is the union of both.
+    right labels. Permuting twins is an automorphism, so the search tries
+    one member of each `twin_classes` class among the vertices with edges.
     """
     masks = [sum(1 << w for w in a) for a in G.adj]
     live = [v for v in range(G.n) if masks[v]]
     isolated = [v for v in range(G.n) if not masks[v]]
-    false: dict[int, int] = {}
-    true: dict[int, int] = {}
-    for v in live:
-        false[masks[v]] = false.get(masks[v], 0) | 1 << v
-        true[masks[v] | 1 << v] = true.get(masks[v] | 1 << v, 0) | 1 << v
-    twins = list({false[masks[v]] | true[masks[v] | 1 << v] for v in live})
+    twins = [sum(1 << v for v in members) for members in twin_classes(G) if masks[members[0]]]
     everyone = sum(1 << v for v in live)
     if p is None:
         orders = [_first_labeling(masks, twins, everyone, None) + isolated]

@@ -1,4 +1,6 @@
 import json
+import os
+import pathlib
 import subprocess
 import sys
 import tracemalloc
@@ -236,6 +238,20 @@ class TestGoldenReports:
         ])
 
 
+def _run_cli(args):
+    """Run the CLI in a fresh interpreter on this checkout's sources; fail after 60 s."""
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run(
+        [sys.executable, "-m", "excount.cli", *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+
+
 class TestCli:
     def test_construct_to_stdout(self, capsys):
         assert main(["construct", "--family", "quasi-bipartite", "--n", "8", "--e", "12"]) == 0
@@ -348,24 +364,23 @@ class TestCli:
         assert "FAIL stub: broken" in capsys.readouterr().out.splitlines()
 
     def test_oversized_header_reported_without_traceback(self, tmp_path):
-        import os
-        import pathlib
-
         host = tmp_path / "host.txt"
         host.write_text("1000000000 0\n")
-        src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        proc = subprocess.run(
-            [sys.executable, "-m", "excount.cli", "count", "--host", str(host),
-             "--kind", "stars", "--k", "2"],
-            capture_output=True,
-            text=True,
-            env=env,
-        )
+        proc = _run_cli(["count", "--host", str(host), "--kind", "stars", "--k", "2"])
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: header vertex count 1000000000 exceeds")
         assert "Traceback" not in proc.stderr
+
+    def test_edgeless_pattern_counts_in_one_path(self, tmp_path):
+        # the pattern's 14 isolated vertices are one twin class, so its 14!
+        # automorphisms and its 14! maps into the host are one walked map each
+        host = tmp_path / "host.txt"
+        patt = tmp_path / "patt.txt"
+        host.write_text("14 13\n" + "".join(f"{i} {i + 1}\n" for i in range(13)))
+        patt.write_text("14 0\n")
+        proc = _run_cli(["count", "--pattern", str(patt), "--host", str(host), "--kind", "copies"])
+        assert proc.returncode == 0
+        assert proc.stdout == "1\n"
 
     @pytest.mark.parametrize(
         "args",

@@ -1,7 +1,9 @@
 import math
 import random
+import signal
 import tracemalloc
-from itertools import combinations
+from contextlib import contextmanager
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from excount.counting import (
 )
 from excount.graphs import (
     Graph,
+    complete_bipartite,
     complete_graph,
     cycle_graph,
     disjoint_union,
@@ -42,6 +45,56 @@ def graphs_st(draw, nmax=7):
     pool = list(combinations(range(n), 2))
     edges = draw(st.sets(st.sampled_from(pool)) if pool else st.just(set()))
     return make_graph(n, edges)
+
+
+@st.composite
+def twin_patterns(draw, nmax=6):
+    """Graphs of at most nmax vertices grown from a small seed so that they have twins.
+
+    Each step adds an isolated vertex, a false twin (a copy of a vertex's
+    neighborhood), a true twin (the copy joined to the vertex) or a
+    disjoint union with another small graph.
+    """
+    G = draw(graphs_st(nmax=3))
+    while G.n < nmax:
+        step = draw(st.sampled_from(["isolated", "false", "true", "union", "stop"]))
+        if step == "stop":
+            break
+        if step == "isolated":
+            G = make_graph(G.n + 1, G.edges)
+        elif step == "union":
+            G = disjoint_union(G, draw(graphs_st(nmax=nmax - G.n)))
+        else:
+            v, w = draw(st.integers(0, G.n - 1)), G.n
+            edges = set(G.edges) | {(u, w) for u in G.adj[v]}
+            if step == "true":
+                edges.add((v, w))
+            G = make_graph(w + 1, edges)
+    return G
+
+
+def brute_inj_homs(H: Graph, G: Graph) -> int:
+    """Injective homomorphisms H -> G by trying every injective vertex map."""
+    return sum(
+        all(G.has_edge(image[u], image[v]) for u, v in H.edges)
+        for image in permutations(range(G.n), H.n)
+    )
+
+
+@contextmanager
+def deadline(seconds: float):
+    """Raise TimeoutError once the block has run for seconds, so a blowup fails, not hangs."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestPatternOrder:
@@ -97,17 +150,11 @@ class TestInjHoms:
         assert inj_homs(path_graph(4), complete_graph(3)) == 0
 
     def test_brute_force_cross_check(self):
-        from itertools import permutations
-
         rng = random.Random(5)
         for _ in range(40):
             H = random_graph(rng, 4)
             G = random_graph(rng, 6)
-            brute = 0
-            for image in permutations(range(G.n), H.n):
-                if all(G.has_edge(image[u], image[v]) for u, v in H.edges):
-                    brute += 1
-            assert inj_homs(H, G) == brute
+            assert inj_homs(H, G) == brute_inj_homs(H, G)
 
     @given(graphs_st(nmax=6), st.sampled_from(["P4", "K3", "S2"]))
     @settings(max_examples=40, deadline=None)
@@ -136,6 +183,29 @@ class TestAutomorphisms:
     def test_union_with_isolated_vertex(self):
         g = make_graph(3, [(0, 1)])
         assert automorphism_count(g) == 2
+
+    @pytest.mark.parametrize(
+        "G, order",
+        [
+            (empty_graph(30), math.factorial(30)),
+            (complete_graph(10), math.factorial(10)),
+            (star_graph(9), math.factorial(9)),
+            (complete_bipartite(3, 3), 72),
+            (disjoint_union(*[path_graph(2)] * 5), 3840),
+        ],
+        ids=["E30", "K10", "S9", "K33", "5K2"],
+    )
+    def test_closed_forms_walk_one_map_per_twin_ordering(self, G, order):
+        # without twin symmetry breaking the edgeless pattern alone has 30! leaves
+        with deadline(5):
+            assert automorphism_count(G) == order
+
+
+class TestTwinSymmetry:
+    @given(twin_patterns(), graphs_st(nmax=7))
+    @settings(max_examples=150, deadline=None)
+    def test_counter_equals_permutation_count(self, H, G):
+        assert PatternCounter(H).count(G.adj, G.degrees) == brute_inj_homs(H, G)
 
 
 class TestCountCopies:
@@ -275,18 +345,19 @@ class TestStarMatchingPairs:
         assert count_star_matching_pairs(G, k, m) == brute_star_matching_pairs(G, k, m)
 
     def test_backtracker_path_matches_brute_force(self):
-        # S_2 plus three disjoint edges has 9 vertices, past the basis size
-        # cap, so these counts run on PatternCounter
-        assert _hom_basis(disjoint_union(star_graph(2), *[path_graph(2)] * 3)) is None
+        # S_k plus three disjoint edges has k + 7 vertices, past the basis
+        # size cap, so these counts run on PatternCounter
         rng = random.Random(5)
-        counts = []
-        for _ in range(6):
-            n = rng.randint(9, 10)
-            pool = list(combinations(range(n), 2))
-            G = make_graph(n, rng.sample(pool, rng.randint(9, 15)))
-            counts.append(count_star_matching_pairs(G, 2, 3))
-            assert counts[-1] == brute_star_matching_pairs(G, 2, 3)
-        assert any(counts)
+        for k, sizes, edges in ((2, (9, 10), (9, 15)), (3, (10, 11), (12, 20))):
+            assert _hom_basis(disjoint_union(star_graph(k), *[path_graph(2)] * 3)) is None
+            counts = []
+            for _ in range(6):
+                n = rng.randint(*sizes)
+                pool = list(combinations(range(n), 2))
+                G = make_graph(n, rng.sample(pool, rng.randint(*edges)))
+                counts.append(count_star_matching_pairs(G, k, 3))
+                assert counts[-1] == brute_star_matching_pairs(G, k, 3)
+            assert any(counts)
 
     def test_largest_criterion_host_pinned(self):
         G = quasi_complete_bipartite(120, math.ceil(120**1.5))

@@ -21,6 +21,7 @@ from excount.graphs import (
     path_graph,
     realize_diagram,
     star_graph,
+    twin_classes,
 )
 
 
@@ -135,6 +136,34 @@ class TestTriangleFree:
                 for a, b, c in combinations(range(n), 3)
             )
             assert is_triangle_free(g) == (not brute)
+
+
+class TestTwinClasses:
+    @pytest.mark.parametrize(
+        "g, classes",
+        [
+            (star_graph(3), [(0,), (1, 2, 3)]),
+            (complete_graph(4), [(0, 1, 2, 3)]),
+            (path_graph(4), [(0,), (1,), (2,), (3,)]),
+            (complete_bipartite(2, 3), [(0, 1), (2, 3, 4)]),
+            (disjoint_union(path_graph(2), empty_graph(2), path_graph(2)), [(0, 1), (2, 3), (4, 5)]),
+            (make_graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (1, 3)]), [(0, 3), (1, 2), (4,)]),
+        ],
+        ids=["S3", "K4", "P4", "K23", "K2+2K1+K2", "diamond+K1"],
+    )
+    def test_false_and_true_twins(self, g, classes):
+        assert twin_classes(g) == classes
+
+    @given(graphs_st(nmax=7))
+    @settings(max_examples=60, deadline=None)
+    def test_classes_partition_and_swaps_are_automorphisms(self, g):
+        classes = twin_classes(g)
+        assert sorted(v for c in classes for v in c) == list(range(g.n))
+        for c in classes:
+            for u, v in zip(c, c[1:]):
+                swap = list(range(g.n))
+                swap[u], swap[v] = v, u
+                assert make_graph(g.n, [(swap[a], swap[b]) for a, b in g.edges]) == g
 
 
 class TestConjugate:
