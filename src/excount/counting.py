@@ -67,7 +67,7 @@ class PatternCounter:
         # and the number of twins still to come
         before, after = [nH] * nH, [0] * nH
         self.orbit = 1
-        for members in twin_classes(pattern):
+        for members in twin_classes([sum(1 << w for w in near) for near in pattern.adj]):
             spots = sorted(index_of[v] for v in members)
             for k, i in enumerate(spots):
                 before[i] = spots[k - 1] if k else nH

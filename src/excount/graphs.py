@@ -162,22 +162,23 @@ def bfs(G: Graph, roots: Iterable[int]) -> tuple[list[int], list[int | None]]:
     return order, parent
 
 
-def twin_classes(G: Graph) -> list[tuple[int, ...]]:
-    """G's vertices grouped into twins, classes by lowest member, members in label order.
+def twin_classes(masks: Sequence[int]) -> list[tuple[int, ...]]:
+    """Twin classes of the graph whose vertex v has neighbor bitmask masks[v].
 
-    Twins have equal open neighborhoods (false twins; all isolated
-    vertices are one class) or equal closed neighborhoods (true twins).
-    No open neighborhood N(u) equals a closed one N[w], which would put w
-    in N(u) and so u in N[w] = N(u). False twins u, v are not adjacent, so
-    a true twin w of u, lying in N(u) = N(v) with v in N[w] = N[u], cannot
-    exist: a vertex with a false twin has no true twin, and the classes
-    partition the vertex set. Permuting any class is an automorphism of G.
+    Classes are ordered by lowest member, members in label order. Twins
+    have equal open neighborhoods (false twins; all isolated vertices are
+    one class) or equal closed neighborhoods (true twins). No open
+    neighborhood N(u) equals a closed one N[w], which would put w in N(u)
+    and so u in N[w] = N(u). False twins u, v are not adjacent, so a true
+    twin w of u, lying in N(u) = N(v) with v in N[w] = N[u], cannot exist:
+    a vertex with a false twin has no true twin, and the classes partition
+    the vertex set. Permuting any class is an automorphism.
     """
-    groups: dict[frozenset[int], list[int]] = {}
-    for v, near in enumerate(G.adj):
+    groups: dict[int, list[int]] = {}
+    for v, near in enumerate(masks):
         groups.setdefault(near, []).append(v)
-        groups.setdefault(near | {v}, []).append(v)
-    return sorted({tuple(max(groups[near], groups[near | {v}], key=len)) for v, near in enumerate(G.adj)})
+        groups.setdefault(near | 1 << v, []).append(v)
+    return sorted({tuple(max(groups[near], groups[near | 1 << v], key=len)) for v, near in enumerate(masks)})
 
 
 def two_coloring(G: Graph) -> tuple[list[int], list[int]]:

@@ -2,39 +2,39 @@
 
 The maximum of N(H, G) over the e-edge hosts on n vertices (all of them,
 the bipartite ones or the triangle-free ones) is found by scoring one
-representative of each isomorphism class once. Classes are built one edge
-level at a time, after Read ("Every one a winner", 1978): each class with
-k edges gets one more edge, a child that leaves the host class is dropped
-at the added edge (both filtered classes are closed under edge deletion),
-and children are deduplicated by a vertex-invariant bucket and
-`are_isomorphic`. Two prunes keep the children few: an edge is added at
-only the first of each set of false twins (the first two within one set),
-and a child is kept only when its added edge has the largest edge
-invariant, a weak form of McKay's canonical augmentation (J. Algorithms
-1998). Dense hosts of every kind are the complements of the sparse level.
-The score is the injective homomorphism count (the degree formula for
-star patterns, the backtracking counter otherwise); the maximum is that
-score divided once by the pattern's automorphism count.
+representative of each isomorphism class once: its first host, the
+lowest-rank labeled copy in the every-pair pool. Classes are built one
+edge level at a time by Read's orderly generation ("Every one a winner",
+1978), see `_classes`: deleting a first host's last pair leaves a first
+host, so a child adds a later pair to a class one level down and is kept
+only if it is a first host, and each class is reached once. That test and
+the witness search below are one first-labeling search after McKay and
+Piperno (J. Symb. Comput. 2014), see `_first_labeling`. Dense hosts of
+every kind are the complements of the sparse level. The score is the
+injective homomorphism count (the degree formula for star patterns, the
+backtracking counter otherwise); the maximum is that score divided once
+by the pattern's automorphism count.
 
 Witnesses are the labeled hosts a labeled sweep would keep: the earliest
 maximal hosts of distinct classes in pool-then-rank order, where a pool is
 every pair or the cross pairs of one bipartition side p (left part 0..p-1)
 and ranks order a pool's e-subsets lexicographically. The lowest-rank copy
-of a class in a pool is found by a first-labeling search after McKay and
-Piperno (J. Symb. Comput. 2014), see `_first_labeling`, so no labeled
-host is walked. The budget still counts the labeled e-subsets of the
-pools, the size of the labeled sweep, and is checked from closed-form pool
-sizes before anything is built.
+of a class in each pool comes from the same search, so no labeled host is
+walked. The budget still counts the labeled e-subsets of the pools, the
+size of the labeled sweep, and is checked from closed-form pool sizes
+before anything is built.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product, repeat
+from itertools import product, repeat
 from math import comb, perm
 
 from .constructions import bipartite_edge_max, check_edge_count, small_side
 from .counting import PatternCounter, automorphism_count, count_copies
-from .graphs import Graph, GraphError, are_isomorphic, complement, make_graph, twin_classes, two_coloring
+from .graphs import Graph, GraphError, complement, make_graph, twin_classes, two_coloring
+# bench/tracer.py wraps are_isomorphic here, so it stays imported.
+from .graphs import are_isomorphic  # noqa: F401
 
 DEFAULT_BUDGET = 10**8
 DEFAULT_WITNESSES = 3
@@ -64,95 +64,61 @@ class ExtremalRecord:
     witnesses: tuple[Graph, ...]
 
 
-def _vertex_invariants(masks: list[int]) -> list[tuple[int, ...]]:
-    """Each vertex's degree, then how many of its neighbors have each degree present."""
-    degrees = [m.bit_count() for m in masks]
-    cells: dict[int, int] = {}
-    for v, d in enumerate(degrees):
-        cells[d] = cells.get(d, 0) | 1 << v
-    by_degree = [cells[d] for d in sorted(cells)]
-    return [(d, *((m & c).bit_count() for c in by_degree)) for d, m in zip(degrees, masks)]
-
-
-def _children(G: Graph, host_class: str):
-    """Yield (u, v, key): an edge to add to G and the invariant key of G plus that edge.
-
-    An edge is tried at only the first vertex of each set of false twins
-    (equal neighborhoods), or at the first two within one set, since a
-    transposition of twins is an automorphism. The child must stay in
-    host_class, and its added edge must have the largest edge invariant
-    (the larger end's vertex invariant, then the smaller end's): every
-    class has such an edge, whose deletion reaches some class one level
-    down, so no class is lost. The key hashes the sorted vertex
-    invariants; unequal invariants with equal hashes only share a bucket,
-    which costs an isomorphism test, never a class.
-    """
-    n = G.n
-    masks = [sum(1 << w for w in a) for a in G.adj]
-    degrees = G.degrees
-    top = max(degrees, default=0)
-    first: dict[int, int] = {}
-    reps, pairs = [], []
-    for v, m in enumerate(masks):
-        t = first.setdefault(m, v)
-        if t == v:
-            reps.append(v)
-        elif t >= 0:
-            pairs.append((t, v))
-            first[m] = -1
-    pairs += [(u, v) for u, v in combinations(reps, 2) if not masks[u] >> v & 1]
-    if host_class == "bipartite":
-        component, color = two_coloring(G)
-    for u, v in pairs:
-        if max(degrees[u], degrees[v]) + 1 < top:
-            continue
-        if host_class == "triangle_free" and masks[u] & masks[v]:
-            continue
-        if host_class == "bipartite" and (component[u], color[u]) == (component[v], color[v]):
-            continue
-        child = masks.copy()
-        child[u] |= 1 << v
-        child[v] |= 1 << u
-        inv = _vertex_invariants(child)
-        best = max(inv)
-        if max(inv[u], inv[v]) < best:
-            continue
-        reach = 0
-        for x in range(n):
-            if inv[x] == best:
-                reach |= child[x]
-        if min(inv[u], inv[v]) < max(inv[w] for w in range(n) if reach >> w & 1):
-            continue
-        yield u, v, hash(tuple(sorted(inv)))
-
-
 def _classes(n: int, e: int, host_class: str):
     """Yield one graph per isomorphism class of the e-edge hosts of host_class on n vertices.
 
-    A level holds edge tuples, not graphs: a graph is built only to expand
-    a class or to test two children of one bucket for isomorphism, so
-    memory stays near one level of tuples.
+    Read's orderly generation: a level holds the first hosts (see
+    `_first_host`) with k edges as sorted pair tuples, and a first host
+    with k + 1 edges is its parent plus one pair after the parent's last
+    pair. Deleting the last pair of a first host leaves a first host, since
+    a lesser relabeling of the rest, with the last pair relabeled alike,
+    would sort below the whole; both filtered host classes are closed
+    under edge deletion. So each class is reached from exactly one parent,
+    a child is kept only if it is a first host, and nothing is
+    deduplicated. A child leaving host_class is dropped at its added pair.
+    A first host's isolated vertices take the last labels, so a parent
+    with edges on vertices 0..k-1 takes only a pair within 0..k or the pair
+    (k, k + 1). Only tuples are kept, so memory stays near one level; a
+    Graph is built for a yielded class and for each bipartite parent's
+    two-coloring.
     """
     flip = host_class == "all" and 2 * e > comb(n, 2)
     level: list[tuple[tuple[int, int], ...]] = [()]
     for _ in range(comb(n, 2) - e if flip else e):
-        buckets: dict[int, list[tuple[tuple[int, int], ...]]] = {}
+        children = []
         for edges in level:
-            for u, v, key in _children(make_graph(n, edges), host_class):
-                child = (*edges, (u, v))
-                bucket = buckets.setdefault(key, [])
-                if bucket:
-                    G = make_graph(n, child)
-                    if any(are_isomorphic(G, make_graph(n, c)) for c in bucket):
-                        continue
-                bucket.append(child)
-        level = [c for bucket in buckets.values() for c in bucket]
+            masks = [0] * n
+            for u, v in edges:
+                masks[u] |= 1 << v
+                masks[v] |= 1 << u
+            k = max(masks).bit_length()
+            last = edges[-1] if edges else (0, 0)
+            pairs = [
+                (u, v) for u in range(last[0], k) for v in range(u + 1, min(k + 1, n)) if (u, v) > last
+            ]
+            if k + 1 < n:
+                pairs.append((k, k + 1))
+            if host_class == "bipartite":
+                component, color = two_coloring(make_graph(n, edges))
+            for u, v in pairs:
+                if host_class == "triangle_free" and masks[u] & masks[v]:
+                    continue
+                if host_class == "bipartite" and (component[u], color[u]) == (component[v], color[v]):
+                    continue
+                child = masks.copy()
+                child[u] |= 1 << v
+                child[v] |= 1 << u
+                if _is_first_host(child):
+                    children.append((*edges, (u, v)))
+        level = children
     for edges in level:
         G = make_graph(n, edges)
         yield complement(G) if flip else G
 
 
-def _first_labeling(masks: list[int], twins: list[int], rows: int, cols: int | None) -> list[int]:
+def _first_labeling(
+    masks: list[int], twins: list[int], rows: int, cols: int | None, own: list[int] | None = None
+) -> list[int] | None:
     """Row vertices, then column vertices, in the label order with the lex-max indicator string.
 
     The string reads each row over its columns in label order. With cols
@@ -161,16 +127,22 @@ def _first_labeling(masks: list[int], twins: list[int], rows: int, cols: int | N
     left part and cols the right part. The unlabeled columns form an
     ordered partition into cells; each new label splits every cell into
     its neighbors, then its non-neighbors, so a candidate's best row is
-    1^a 0^(s-a) per cell, compared as the tuple of the a. With every pair a
-    candidate must lie in the first cell. Only the candidates with the
-    largest row are kept, one per twin class, and states are deduplicated
-    by their unlabeled rows and ordered partition, since earlier labels do
-    not affect later rows.
+    1^a 0^(s-a) per cell, held as an integer with its first column at bit
+    0: a row beats another when it holds their lowest differing bit. With
+    every pair a candidate must lie in the first cell. Only the candidates
+    with the best row are kept, one per twin class, and states are
+    deduplicated by their unlabeled rows and ordered partition, since
+    earlier labels do not affect later rows.
+
+    own, if given, holds the rows of the identity labeling in that
+    encoding. The search then keeps only candidates whose row equals own's
+    and returns None at the first that beats it, so it returns a labeling
+    exactly when the identity labeling is already lex-max.
     """
     same = cols is None
     states = {(rows, (rows if same else cols,)): []}
-    for _ in range(rows.bit_count()):
-        best, found = (), {}
+    for i in range(rows.bit_count()):
+        best, found = 0 if own is None else own[i], {}
         for (left, cells), seq in states.items():
             pick = cells[0] if same else left
             for twin in twins:
@@ -180,15 +152,35 @@ def _first_labeling(masks: list[int], twins: list[int], rows: int, cols: int | N
                 v = bit.bit_length() - 1
                 near = masks[v]
                 split = (cells[0] ^ bit, *cells[1:]) if same else cells
-                row = tuple((near & c).bit_count() for c in split)
-                if row >= best:
-                    if row > best:
-                        best, found = row, {}
-                    after = tuple(x for c in split for x in (c & near, c & ~near) if x)
-                    found.setdefault((left ^ bit, after), seq + [v])
+                row = shift = 0
+                for c in split:
+                    row |= ((1 << (near & c).bit_count()) - 1) << shift
+                    shift += c.bit_count()
+                if row != best:
+                    if not (d := row ^ best) & -d & row:
+                        continue
+                    if own is not None:
+                        return None
+                    best, found = row, {}
+                after = tuple(x for c in split for x in (c & near, c & ~near) if x)
+                found.setdefault((left ^ bit, after), seq + [v])
         states = found
     (_, cells), seq = next(iter(states.items()))
     return seq + [v for c in cells for v in range(c.bit_length()) if c >> v & 1]
+
+
+def _is_first_host(masks: list[int]) -> bool:
+    """Whether the labeled host whose vertex v has neighbor bitmask masks[v] is its own first host.
+
+    The vertices after the last one with edges are isolated and already
+    take the last labels, so the search runs on the others. A vertex's row
+    in the identity labeling, over the vertices after it, is its mask
+    shifted down past its own label.
+    """
+    live = masks[:max(masks).bit_length()]
+    twins = [sum(1 << v for v in members) for members in twin_classes(live)]
+    own = [m >> v + 1 for v, m in enumerate(live)]
+    return _first_labeling(live, twins, (1 << len(live)) - 1, None, own) is not None
 
 
 def _first_host(G: Graph, p: int | None) -> tuple[tuple[int, int], ...] | None:
@@ -206,7 +198,7 @@ def _first_host(G: Graph, p: int | None) -> tuple[tuple[int, int], ...] | None:
     masks = [sum(1 << w for w in a) for a in G.adj]
     live = [v for v in range(G.n) if masks[v]]
     isolated = [v for v in range(G.n) if not masks[v]]
-    twins = [sum(1 << v for v in members) for members in twin_classes(G) if masks[members[0]]]
+    twins = [sum(1 << v for v in members) for members in twin_classes(masks) if masks[members[0]]]
     everyone = sum(1 << v for v in live)
     if p is None:
         orders = [_first_labeling(masks, twins, everyone, None) + isolated]

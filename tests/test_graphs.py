@@ -152,12 +152,12 @@ class TestTwinClasses:
         ids=["S3", "K4", "P4", "K23", "K2+2K1+K2", "diamond+K1"],
     )
     def test_false_and_true_twins(self, g, classes):
-        assert twin_classes(g) == classes
+        assert twin_classes([sum(1 << w for w in near) for near in g.adj]) == classes
 
     @given(graphs_st(nmax=7))
     @settings(max_examples=60, deadline=None)
     def test_classes_partition_and_swaps_are_automorphisms(self, g):
-        classes = twin_classes(g)
+        classes = twin_classes([sum(1 << w for w in near) for near in g.adj])
         assert sorted(v for c in classes for v in c) == list(range(g.n))
         for c in classes:
             for u, v in zip(c, c[1:]):

@@ -165,7 +165,7 @@ class TestClasses:
         "host_class, totals",
         [
             ("all", [1, 2, 4, 11, 34, 156, 1044]),
-            ("triangle_free", [1, 2, 3, 7, 14, 38, 107]),
+            ("triangle_free", [1, 2, 3, 7, 14, 38, 107, 410]),
             ("bipartite", [1, 2, 3, 7, 13, 35, 88, 303]),
         ],
     )
@@ -208,6 +208,50 @@ class TestClasses:
         rec = ex_oracle(300, 1, star_graph(2))
         assert rec.maximum == 0 and rec.witnesses == (make_graph(300, [(0, 1)]),)
         assert len(built) <= 4
+        # A parent with edges on 0..k-1 takes pairs within 0..k or (k, k + 1) only,
+        # so a wide host tests a handful of children, not every pair.
+        tested, keep = [], oracle._is_first_host
+
+        def counting_keep(masks):
+            tested.append(len(masks))
+            return keep(masks)
+
+        monkeypatch.setattr(oracle, "_is_first_host", counting_keep)
+        for e, classes, maximum, witnesses in ((2, 2, 0, 2), (3, 5, 1, 1)):
+            built.clear()
+            tested.clear()
+            rec = ex_oracle(300, e, path_graph(4), budget=10**15)
+            assert rec.maximum == maximum and len(rec.witnesses) == witnesses
+            assert len(built) <= classes + witnesses
+            assert len(tested) <= 12
+
+    @pytest.mark.parametrize("host_class", list(ORACLES))
+    def test_levels_hold_first_hosts(self, host_class):
+        # Read's orderly generation keeps each class as its own first host;
+        # dense levels of every pair are complements and are not.
+        for n in range(1, 8):
+            top = comb(n, 2) if host_class == "all" else n * n // 4
+            for e in range(top + 1):
+                if host_class == "all" and 2 * e > top:
+                    break
+                for G in oracle._classes(n, e, host_class):
+                    assert tuple(G.sorted_edges()) == oracle._first_host(G, None)
+
+    def test_keep_test_accepts_exactly_the_least_relabeling(self):
+        # Brute force over all n! relabelings of every labeled graph.
+        for n in range(1, 6):
+            pairs = list(combinations(range(n), 2))
+            perms = list(permutations(range(n)))
+            for mask in range(1 << len(pairs)):
+                edges = [pair for i, pair in enumerate(pairs) if mask >> i & 1]
+                least = min(
+                    sorted((min(pi[u], pi[v]), max(pi[u], pi[v])) for u, v in edges) for pi in perms
+                )
+                masks = [0] * n
+                for u, v in edges:
+                    masks[u] |= 1 << v
+                    masks[v] |= 1 << u
+                assert oracle._is_first_host(masks) == (edges == least), edges
 
 
 class TestFirstHost:
