@@ -177,8 +177,11 @@ def twin_classes(masks: Sequence[int]) -> list[tuple[int, ...]]:
     groups: dict[int, list[int]] = {}
     for v, near in enumerate(masks):
         groups.setdefault(near, []).append(v)
-        groups.setdefault(near | 1 << v, []).append(v)
-    return sorted({tuple(max(groups[near], groups[near | 1 << v], key=len)) for v, near in enumerate(masks)})
+        if near:
+            groups.setdefault(near | 1 << v, []).append(v)
+    keys = (near if not near or len(groups[near]) >= len(groups[near | 1 << v]) else near | 1 << v
+            for v, near in enumerate(masks))
+    return [tuple(groups[key]) for key in dict.fromkeys(keys)]
 
 
 def two_coloring(G: Graph) -> tuple[list[int], list[int]]:

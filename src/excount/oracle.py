@@ -10,7 +10,9 @@ host, so a child adds a later pair to a class one level down and is kept
 only if it is a first host, and each class is reached once. That test and
 the witness search below are one first-labeling search after McKay and
 Piperno (J. Symb. Comput. 2014), see `_first_labeling`. Dense hosts of
-every kind are the complements of the sparse level. The score is the
+every kind are the complements of the sparse level. Between calls only
+the levels of the last (n, host_class) are kept, the ones a call within
+its budget generated, so a sweep over e extends them. The score is the
 injective homomorphism count (the degree formula for star patterns, the
 backtracking counter otherwise); the maximum is that score divided once
 by the pattern's automorphism count.
@@ -38,6 +40,8 @@ from .graphs import are_isomorphic  # noqa: F401
 
 DEFAULT_BUDGET = 10**8
 DEFAULT_WITNESSES = 3
+# (n, host_class) and its levels 0..k of first hosts, see `_classes`.
+_store: tuple[tuple[int, str] | None, list[list[tuple[tuple[int, int], ...]]]] = (None, [])
 
 
 class EnumerationBudgetError(RuntimeError):
@@ -78,40 +82,48 @@ def _classes(n: int, e: int, host_class: str):
     deduplicated. A child leaving host_class is dropped at its added pair.
     A first host's isolated vertices take the last labels, so a parent
     with edges on vertices 0..k-1 takes only a pair within 0..k or the pair
-    (k, k + 1). Only tuples are kept, so memory stays near one level; a
-    Graph is built for a yielded class and for each bipartite parent's
-    two-coloring.
+    (k, k + 1). Levels are tuples in a one-entry store, the levels 0..k of
+    the last (n, host_class): a call reads its level there or extends a
+    copy and rebinds the store at once, so a published level never changes
+    and concurrent callers at worst repeat work; another (n, host_class)
+    replaces the store. A Graph is built for a yielded class and for each
+    bipartite parent's two-coloring.
     """
+    global _store
     flip = host_class == "all" and 2 * e > comb(n, 2)
-    level: list[tuple[tuple[int, int], ...]] = [()]
-    for _ in range(comb(n, 2) - e if flip else e):
-        children = []
-        for edges in level:
-            masks = [0] * n
-            for u, v in edges:
-                masks[u] |= 1 << v
-                masks[v] |= 1 << u
-            k = max(masks).bit_length()
-            last = edges[-1] if edges else (0, 0)
-            pairs = [
-                (u, v) for u in range(last[0], k) for v in range(u + 1, min(k + 1, n)) if (u, v) > last
-            ]
-            if k + 1 < n:
-                pairs.append((k, k + 1))
-            if host_class == "bipartite":
-                component, color = two_coloring(make_graph(n, edges))
-            for u, v in pairs:
-                if host_class == "triangle_free" and masks[u] & masks[v]:
-                    continue
-                if host_class == "bipartite" and (component[u], color[u]) == (component[v], color[v]):
-                    continue
-                child = masks.copy()
-                child[u] |= 1 << v
-                child[v] |= 1 << u
-                if _is_first_host(child):
-                    children.append((*edges, (u, v)))
-        level = children
-    for edges in level:
+    depth = comb(n, 2) - e if flip else e
+    key, (stored, levels) = (n, host_class), _store
+    if stored != key or len(levels) <= depth:
+        levels = levels.copy() if stored == key else [[()]]
+        while len(levels) <= depth:
+            children = []
+            for edges in levels[-1]:
+                masks = [0] * n
+                for u, v in edges:
+                    masks[u] |= 1 << v
+                    masks[v] |= 1 << u
+                k = max(masks).bit_length()
+                last = edges[-1] if edges else (0, 0)
+                pairs = [
+                    (u, v) for u in range(last[0], k) for v in range(u + 1, min(k + 1, n)) if (u, v) > last
+                ]
+                if k + 1 < n:
+                    pairs.append((k, k + 1))
+                if host_class == "bipartite":
+                    component, color = two_coloring(make_graph(n, edges))
+                for u, v in pairs:
+                    if host_class == "triangle_free" and masks[u] & masks[v]:
+                        continue
+                    if host_class == "bipartite" and (component[u], color[u]) == (component[v], color[v]):
+                        continue
+                    child = masks.copy()
+                    child[u] |= 1 << v
+                    child[v] |= 1 << u
+                    if _is_first_host(child):
+                        children.append((*edges, (u, v)))
+            levels.append(children)
+        _store = key, levels
+    for edges in levels[depth]:
         G = make_graph(n, edges)
         yield complement(G) if flip else G
 

@@ -23,6 +23,7 @@ from excount.graphs import (
     star_graph,
     twin_classes,
 )
+from test_counting import deadline
 
 
 @st.composite
@@ -153,6 +154,11 @@ class TestTwinClasses:
     )
     def test_false_and_true_twins(self, g, classes):
         assert twin_classes([sum(1 << w for w in near) for near in g.adj]) == classes
+
+    def test_isolated_vertices_are_one_class_in_linear_time(self):
+        # keying isolated vertex v by its closed neighborhood 1 << v is quadratic in n
+        with deadline(2):
+            assert twin_classes([0] * 20000) == [tuple(range(20000))]
 
     @given(graphs_st(nmax=7))
     @settings(max_examples=60, deadline=None)

@@ -1,5 +1,7 @@
 import functools
 import multiprocessing.process
+import random
+import sys
 import threading
 import tracemalloc
 from itertools import combinations, permutations
@@ -252,6 +254,103 @@ class TestClasses:
                     masks[u] |= 1 << v
                     masks[v] |= 1 << u
                 assert oracle._is_first_host(masks) == (edges == least), edges
+
+
+def _record_bytes(rec):
+    return rec.e, rec.maximum, [w.sorted_edges() for w in rec.witnesses], emit_report([rec])
+
+
+def _family_sweep(host_class, n, H):
+    """Every e of one (n, host_class) as (e, maximum, witness edge lists, CSV)."""
+    top = comb(n, 2) if host_class == "all" else n * n // 4
+    return [_record_bytes(ORACLES[host_class](n, e, H)) for e in range(top + 1)]
+
+
+class TestLevelStore:
+    """_classes keeps the levels of the last (n, host_class) and extends them on demand."""
+
+    def test_warm_shuffled_calls_match_cold_calls(self, monkeypatch):
+        H = path_graph(4)
+        calls = [
+            (host_class, n, e)
+            for host_class in ORACLES
+            for n in range(1, 7)
+            for e in range((comb(n, 2) if host_class == "all" else n * n // 4) + 1)
+        ]
+        cold = {}
+        for call in calls:
+            monkeypatch.setattr(oracle, "_store", (None, []))
+            cold[call] = _record_bytes(ORACLES[call[0]](call[1], call[2], H))
+        random.Random(1).shuffle(calls)
+        for call in calls:
+            assert _record_bytes(ORACLES[call[0]](call[1], call[2], H)) == cold[call], call
+
+    def test_sweep_over_e_tests_each_child_once(self, monkeypatch):
+        tested, keep = [], oracle._is_first_host
+
+        def counting_keep(masks):
+            tested.append(len(masks))
+            return keep(masks)
+
+        monkeypatch.setattr(oracle, "_is_first_host", counting_keep)
+        monkeypatch.setattr(oracle, "_store", (None, []))
+        ex_oracle(6, 7, path_graph(4))
+        deepest = len(tested)
+        assert deepest > 0
+        monkeypatch.setattr(oracle, "_store", (None, []))
+        tested.clear()
+        for e in range(comb(6, 2) + 1):
+            ex_oracle(6, e, path_graph(4))
+        assert len(tested) == deepest
+        tested.clear()
+        ex_oracle(6, 7, path_graph(4))
+        assert tested == []
+
+    def test_a_deeper_call_extends_a_copy(self, monkeypatch):
+        # a published list never changes, so a caller still reading it is safe
+        monkeypatch.setattr(oracle, "_store", (None, []))
+        ex_oracle(6, 3, path_graph(4))
+        published = oracle._store[1]
+        snapshot = [list(level) for level in published]
+        ex_oracle(6, 7, path_graph(4))
+        assert oracle._store[1] is not published and len(oracle._store[1]) == 8
+        assert published == snapshot and oracle._store[1][:4] == snapshot
+
+    @pytest.mark.parametrize("e", [0, 4])
+    def test_another_family_releases_the_old_levels(self, monkeypatch, e):
+        monkeypatch.setattr(oracle, "_store", (None, []))
+        ex_bip_oracle(6, 9, path_graph(4))
+        old = oracle._store[1]
+        assert len(old) == 10
+        ex_trifree_oracle(6, e, path_graph(4))
+        assert oracle._store[0] == (6, "triangle_free") and len(oracle._store[1]) == e + 1
+        # only this frame's name and getrefcount's argument still refer to the old levels
+        assert sys.getrefcount(old) == 2
+
+    def test_two_threads_sweeping_different_families_match_serial(self, monkeypatch):
+        H = path_graph(4)
+        families = [("all", 6), ("bipartite", 7)]
+        serial = []
+        for host_class, n in families:
+            monkeypatch.setattr(oracle, "_store", (None, []))
+            serial.append(_family_sweep(host_class, n, H))
+        monkeypatch.setattr(oracle, "_store", (None, []))
+        got = [None, None]
+
+        def run(i):
+            got[i] = _family_sweep(*families[i], H)
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == serial
 
 
 class TestFirstHost:
