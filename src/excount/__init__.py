@@ -68,7 +68,6 @@ from .oracle import (
 )
 from .asymptotics import (
     DensityScan,
-    crossover_density_estimate,
     crossover_scan,
     disjoint_star_tuple_bound,
     max_small_side,

@@ -1,12 +1,13 @@
 """Closed-form growth estimates and empirical crossover scans.
 
 The bounds here are finite-n evaluations of asymptotic expressions: the
-disjoint star tuple bound for the quasi-clique, the star-plus-matching
-pair bound for the quasi-complete bipartite graph, and a product bound on
-injective homomorphism counts through a star factor profile. The
-crossover scan locates, at finite n, the edge budget where the
-quasi-clique overtakes the quasi-star for a fixed star pattern; the
-reported density is an estimate, never a constant.
+disjoint star tuple bound for the quasi-clique and the star-plus-matching
+pair bound for the quasi-complete bipartite graph. The star factor
+product multiplies, over a pattern's star factors, the larger of the two
+families' injective star counts; it is an estimate, not a bound on every
+host at finite n. The crossover scan locates, at finite n, the edge
+budget where the quasi-clique overtakes the quasi-star for a fixed star
+pattern, exactly, from both families' degree sequences.
 """
 from __future__ import annotations
 
@@ -65,12 +66,13 @@ def star_matching_pair_bound(k: int, m: int, n: int, e: int) -> int:
 
 
 def star_factor_upper_bound(H: Graph, n: int, e: int) -> int:
-    """Product bound on injective homomorphisms of H through its star profile.
+    """Product over H's star factors S_a of a! times the larger two-family S_a count.
 
-    Each star factor is bounded by the larger of its counts in the
-    quasi-clique and the quasi-star, standing in for whichever family
-    dominates at this density; the product bounds h(H, G) for every
-    n-vertex e-edge host up to the asymptotic error of that dominance.
+    Each factor takes the larger of its star counts in the quasi-clique
+    and the quasi-star. This is not a bound at finite n: the two families
+    need not hold the most S_a, so a host can have more injective maps of
+    H. For S3 at n = 13, e = 61 the product is 9720, while K_11 plus two
+    vertices, each joined to vertices 0, 1 and 2, has 9732.
     """
     if e < 1:
         raise GraphError(f"edge budget must be at least 1, got {e}")
@@ -122,20 +124,3 @@ def crossover_scan(j: int, n: int, step: int = 1) -> DensityScan:
         if (prev[1] >= prev[2]) != (cur[1] >= cur[2]):
             changes.append(cur[0])
     return DensityScan(j, n, step, samples, crossover, tuple(changes))
-
-
-def crossover_density_estimate(H: Graph, n: int, step: int = 1) -> float:
-    """Finite-n estimate of the density where the quasi-clique takes over for H.
-
-    The maximum over the star factor profile of the scanned crossover
-    density; profile entries with one leaf tie everywhere and contribute
-    zero. This is an empirical stand-in evaluated at the given n, not a
-    limiting constant.
-    """
-    top = comb(n, 2)
-    best = 0.0
-    for a in set(star_factor_profile(H)):
-        if a < 2:
-            continue
-        best = max(best, crossover_scan(a, n, step).crossover_e / top)
-    return best

@@ -13,9 +13,10 @@ Piperno (J. Symb. Comput. 2014), see `_first_labeling`. Dense hosts of
 every kind are the complements of the sparse level. Between calls only
 the levels of the last (n, host_class) are kept, the ones a call within
 its budget generated, so a sweep over e extends them. The score is the
-injective homomorphism count (the degree formula for star patterns, the
-backtracking counter otherwise); the maximum is that score divided once
-by the pattern's automorphism count.
+injective homomorphism count from the backtracking `PatternCounter`, for
+stars too: it walks a star's leaves as one twin class, so it visits the
+C(d, k) terms of the degree formula; the maximum is that score divided
+once by the pattern's automorphism count.
 
 Witnesses are the labeled hosts a labeled sweep would keep: the earliest
 maximal hosts of distinct classes in pool-then-rank order, where a pool is
@@ -29,8 +30,8 @@ before anything is built.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product, repeat
-from math import comb, perm
+from itertools import product
+from math import comb
 
 from .constructions import bipartite_edge_max, check_edge_count, small_side
 from .counting import PatternCounter, automorphism_count, count_copies
@@ -248,21 +249,19 @@ def _sweep(
 ) -> ExtremalRecord:
     """Check the budget from the pool sizes, score each class once, search the maximal ones for witnesses.
 
-    A maximal class is keyed by the first pool in sides that holds it and
-    its lowest-rank copy there; the witnesses are the first keys.
+    Every class is scored by one `PatternCounter` for H. A maximal class is
+    keyed by the first pool in sides that holds it and its lowest-rank copy
+    there; the witnesses are the first keys.
     """
+    if witnesses < 0:
+        raise ValueError(f"witness count must be non-negative, got {witnesses}")
     required = sum(comb(comb(n, 2) if p is None else p * (n - p), e) for p in sides)
     if required > budget:
         raise EnumerationBudgetError(required, budget)
-    # A star (the single edge included) scores by the degree formula.
-    star = H.n >= 2 and H.edge_count == H.n - 1 == max(H.degrees)
-    counter = None if star else PatternCounter(H)
+    counter = PatternCounter(H)
     best, maximal = -1, []
     for G in _classes(n, e, host_class):
-        if counter is None:
-            score = sum(map(perm, G.degrees, repeat(H.n - 1)))
-        else:
-            score = counter.count(G.adj, G.degrees)
+        score = counter.count(G.adj, G.degrees)
         if score > best:
             best, maximal = score, []
         if score == best:

@@ -4,7 +4,6 @@ from math import comb
 import pytest
 
 from excount.asymptotics import (
-    crossover_density_estimate,
     crossover_scan,
     disjoint_star_tuple_bound,
     max_small_side,
@@ -138,6 +137,15 @@ class TestStarFactorUpperBound:
         rec = ex_oracle(6, 12, H)
         assert rec.maximum * automorphism_count(H) <= star_factor_upper_bound(H, 6, 12)
 
+    def test_is_not_a_bound_at_finite_n(self):
+        # K_11 plus two vertices joined to 0, 1 and 2 beats both families on S3.
+        H = star_graph(3)
+        host = make_graph(13, [*complete_graph(11).edges, *((v, u) for v in (11, 12) for u in range(3))])
+        assert host.edge_count == 61
+        product, maps = star_factor_upper_bound(H, 13, 61), inj_homs(H, host)
+        assert (product, maps) == (9720, 9732)
+        assert product < maps
+
     def test_equals_the_product_of_injective_star_sums(self):
         H = make_graph(8, [(0, 1), (0, 2), (0, 3), (3, 4), (4, 5), (4, 6), (6, 7)])
         profile = star_factor_profile(H)
@@ -205,12 +213,3 @@ class TestCrossoverScan:
         scan = crossover_scan(2, 9, 7)
         assert scan.samples[-1][0] == comb(9, 2)
 
-
-class TestCrossoverDensityEstimate:
-    def test_single_edge_profile_gives_zero(self):
-        assert crossover_density_estimate(path_graph(2), 12) == 0.0
-
-    def test_triangle_profile_matches_direct_scan(self):
-        scan = crossover_scan(2, 12, 1)
-        want = scan.crossover_e / comb(12, 2)
-        assert crossover_density_estimate(complete_graph(3), 12) == want

@@ -410,6 +410,15 @@ class TestCli:
             "raise the budget to force the run\n"
         )
 
+    def test_oracle_negative_witnesses_exits_2(self, tmp_path, capsys):
+        pattern = tmp_path / "p3.txt"
+        pattern.write_text("3 2\n0 1\n1 2\n")
+        args = ["oracle", "--n", "5", "--e", "4", "--pattern", str(pattern), "--witnesses", "-2"]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: witness count must be non-negative, got -2\n"
+
     def test_reproducible_output(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         main(["scan-crossover", "--j", "2", "--n", "7", "--csv", str(a)])

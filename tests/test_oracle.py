@@ -5,7 +5,7 @@ import sys
 import threading
 import tracemalloc
 from itertools import combinations, permutations
-from math import comb, perm
+from math import comb, factorial, perm
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import excount.oracle as oracle
 from excount.constructions import quasi_clique, quasi_complete_bipartite, quasi_star
-from excount.counting import PatternCounter, automorphism_count, count_copies
+from excount.counting import PatternCounter, automorphism_count, count_copies, star_sum
 from excount.graphs import (
     are_isomorphic,
     bipartition_of,
@@ -158,6 +158,39 @@ class TestRecordsMatchTheLabeledSweep:
         e = data.draw(st.integers(0, top), label="e")
         ref = _labeled_record(n, e, H, host_class, 3)
         _assert_same_record(ORACLES[host_class](n, e, H), ref)
+
+
+class TestStarsScoreAsTheDegreeFormula:
+    # The counter scores stars too; the degree formula it replaced is the reference.
+    @pytest.mark.parametrize("host_class", list(ORACLES))
+    def test_every_star_up_to_seven_vertices(self, host_class):
+        for n in range(1, 8):
+            top = comb(n, 2) if host_class == "all" else n * n // 4
+            for k in range(1, 5):
+                S = star_graph(k)
+                for e in range(top + 1):
+                    rec = ORACLES[host_class](n, e, S)
+                    classes = oracle._classes(n, e, host_class)
+                    want = max(factorial(k) * star_sum(G.degrees, k) for G in classes)
+                    assert rec.maximum * automorphism_count(S) == want, (n, e, k)
+
+
+class TestWitnessCount:
+    @pytest.mark.parametrize("witnesses", [-1, -2])
+    @pytest.mark.parametrize("host_class", list(ORACLES))
+    def test_negative_count_is_rejected_before_generation(self, host_class, witnesses, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("generated classes for a rejected call")
+
+        monkeypatch.setattr(oracle, "_classes", refuse)
+        with pytest.raises(ValueError, match=f"non-negative, got {witnesses}"):
+            ORACLES[host_class](5, 4, path_graph(4), witnesses=witnesses)
+
+    @pytest.mark.parametrize("host_class", list(ORACLES))
+    def test_zero_keeps_the_maximum_and_no_witness(self, host_class):
+        rec = ORACLES[host_class](5, 4, path_graph(4), witnesses=0)
+        assert rec.witnesses == ()
+        assert rec.maximum == ORACLES[host_class](5, 4, path_graph(4)).maximum
 
 
 class TestClasses:
