@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from . import edgelist
 from .asymptotics import crossover_scan
 from .constructions import quasi_clique, quasi_complete_bipartite, quasi_star
 from .counting import count_copies, count_stars, inj_homs
@@ -42,7 +43,14 @@ def _write_text(text: str, path: str | None) -> None:
             fh.write(text)
 
 
+def _check_vertex_count(n: int | None) -> None:
+    """Refuse an --n above the edge-list vertex limit before anything is built."""
+    if n is not None and n > edgelist.MAX_VERTICES:
+        raise GraphError(f"--n {n} exceeds the vertex limit {edgelist.MAX_VERTICES}")
+
+
 def _cmd_construct(args) -> int:
+    _check_vertex_count(args.n)
     G = _FAMILIES[args.family](args.n, args.e)
     _write_text(format_edgelist(G), args.out)
     return 0
@@ -64,6 +72,7 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_transform(args) -> int:
+    _check_vertex_count(args.n)
     host = read_edgelist(args.host)
     endpoint, trace = run_transformation(host, args.k, args.n)
     if args.trace_out:
@@ -94,6 +103,7 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    _check_vertex_count(args.n)
     pattern = read_edgelist(args.pattern)
     record = _ORACLES[args.host_class](
         args.n,
@@ -197,6 +207,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (GraphError, EnumerationBudgetError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError as exc:  # the counter recurses once per pattern vertex with an edge
+        print(f"error: pattern too deep for the backtracking counter ({exc})", file=sys.stderr)
         return 2
 
 

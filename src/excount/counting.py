@@ -10,7 +10,7 @@ from collections import defaultdict
 from functools import lru_cache
 from itertools import repeat
 from math import comb, factorial
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .graphs import Graph, bfs, disjoint_union, path_graph, star_graph, twin_classes
 
@@ -48,15 +48,17 @@ class PatternCounter:
     those maps are searched, and the count is their number times the
     product of the class-size factorials. A class member's image lies above
     the previous member's and below n_G minus the members still to come.
+    Isolated vertices come last and form one class, so the walk stops
+    before them and one binomial counts their images among the rest.
     """
 
-    __slots__ = ("pattern_n", "order", "parents", "mindeg", "twin_before", "twins_after", "orbit")
+    __slots__ = ("walked", "order", "parents", "mindeg", "twin_before", "twins_after", "orbit")
 
     def __init__(self, pattern: Graph):
         order = bfs(pattern, sorted(range(pattern.n), key=lambda v: (-pattern.degrees[v], v)))[0]
         index_of = {v: i for i, v in enumerate(order)}
         nH = pattern.n
-        self.pattern_n = nH
+        self.walked = sum(map(bool, pattern.degrees))
         self.order = tuple(order)
         self.parents = tuple(
             tuple(index_of[w] for w in pattern.adj[v] if index_of[w] < i)
@@ -75,18 +77,16 @@ class PatternCounter:
             self.orbit *= factorial(len(spots))
         self.twin_before, self.twins_after = tuple(before), tuple(after)
 
-    def count(self, adj: Sequence[frozenset[int] | set[int]], degrees: Sequence[int]) -> int:
-        nH = self.pattern_n
-        nG = len(adj)
+    def count(self, G: Graph) -> int:
+        nH, nG, walked = len(self.order), G.n, self.walked
         if nH > nG:
             return 0
-        parents, mindeg = self.parents, self.mindeg
+        adj, degrees, parents, mindeg = G.adj, G.degrees, self.parents, self.mindeg
         twin_before, twins_after = self.twin_before, self.twins_after
-        used = [False] * nG
-        images = [0] * nH + [-1]
+        used, images = [False] * nG, [0] * nH + [-1]
 
         def extend(i: int) -> int:
-            if i == nH:
+            if i == walked:
                 return 1
             total = 0
             need = mindeg[i]
@@ -107,7 +107,7 @@ class PatternCounter:
                 used[v] = False
             return total
 
-        return extend(0) * self.orbit
+        return extend(0) * comb(nG - walked, nH - walked) * self.orbit
 
 
 BASIS_MAX_VERTICES = 8  # Bell(8) = 4140 partitions
@@ -204,7 +204,7 @@ def inj_homs(H: Graph, G: Graph) -> int:
     """
     terms = _hom_basis(H)
     if terms is None:
-        return PatternCounter(H).count(G.adj, G.degrees)
+        return PatternCounter(H).count(G)
     return sum(mu * _hom(F, G) for F, mu in terms)
 
 
@@ -216,10 +216,10 @@ def automorphism_count(H: Graph) -> int:
     preserved automatically and PatternCounter(H) counts exactly the group.
     Permutations within twin classes act freely on the group, so the
     counter walks only the automorphisms with increasing images along each
-    class and multiplies by the product of the class-size factorials: the
-    edgeless pattern is one root-to-leaf path.
+    class and multiplies by the product of the class-size factorials;
+    isolated vertices are counted, not walked.
     """
-    return PatternCounter(H).count(H.adj, H.degrees)
+    return PatternCounter(H).count(H)
 
 
 def count_copies(H: Graph, G: Graph) -> int:

@@ -9,14 +9,14 @@ edge level at a time by Read's orderly generation ("Every one a winner",
 host, so a child adds a later pair to a class one level down and is kept
 only if it is a first host, and each class is reached once. That test and
 the witness search below are one first-labeling search after McKay and
-Piperno (J. Symb. Comput. 2014), see `_first_labeling`. Dense hosts of
-every kind are the complements of the sparse level. Between calls only
-the levels of the last (n, host_class) are kept, the ones a call within
-its budget generated, so a sweep over e extends them. The score is the
-injective homomorphism count from the backtracking `PatternCounter`, for
-stars too: it walks a star's leaves as one twin class, so it visits the
-C(d, k) terms of the degree formula; the maximum is that score divided
-once by the pattern's automorphism count.
+Piperno (J. Symb. Comput. 2014), see `_first_labeling`. Only all-host
+levels flip: above C(n, 2) / 2 edges they are the complements of the
+sparse level. Between calls only the levels of the last (n, host_class)
+are kept, the ones a call within its budget generated, so a sweep over e
+extends them. The score is the injective homomorphism count from the
+backtracking `PatternCounter`, for stars too: it walks a star's leaves as
+one twin class, so it visits the C(d, k) terms of the degree formula; the
+maximum is that score divided once by the pattern's automorphism count.
 
 Witnesses are the labeled hosts a labeled sweep would keep: the earliest
 maximal hosts of distinct classes in pool-then-rank order, where a pool is
@@ -59,7 +59,7 @@ class EnumerationBudgetError(RuntimeError):
 
 @dataclass(frozen=True, slots=True)
 class ExtremalRecord:
-    """Result of one exhaustive sweep, witnesses deduplicated by isomorphism."""
+    """Result of one exhaustive sweep; the witnesses are of distinct classes by construction."""
 
     n: int
     e: int
@@ -261,7 +261,7 @@ def _sweep(
     counter = PatternCounter(H)
     best, maximal = -1, []
     for G in _classes(n, e, host_class):
-        score = counter.count(G.adj, G.degrees)
+        score = counter.count(G)
         if score > best:
             best, maximal = score, []
         if score == best:

@@ -342,7 +342,7 @@ def check_counter_cross_validation(scale: str, seed: int) -> CheckResult:
             homs = inj_homs(H, G)
             if homs != count_copies(H, G) * automorphism_count(H):
                 failures.append(f"graph {idx}: hom identity fails")
-            if homs != PatternCounter(H).count(G.adj, G.degrees):
+            if homs != PatternCounter(H).count(G):
                 failures.append(f"graph {idx}: basis and backtracker disagree")
     return _result("counter-cross-validation", failures, f"{count} random graphs")
 

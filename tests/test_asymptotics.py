@@ -132,7 +132,7 @@ class TestStarFactorUpperBound:
         assert bound == 60
         assert bound >= inj_homs(complete_graph(3), complete_graph(5))
 
-    def test_bounds_the_oracle_times_automorphisms(self):
+    def test_is_at_least_the_p4_oracle_count_at_6_12(self):
         H = path_graph(4)
         rec = ex_oracle(6, 12, H)
         assert rec.maximum * automorphism_count(H) <= star_factor_upper_bound(H, 6, 12)
@@ -213,3 +213,24 @@ class TestCrossoverScan:
         scan = crossover_scan(2, 9, 7)
         assert scan.samples[-1][0] == comb(9, 2)
 
+
+
+@pytest.mark.parametrize(
+    "call, exc, message",
+    [
+        (lambda: disjoint_star_tuple_bound((2, 0), 5), ValueError,
+         "leaf counts must be positive, got (2, 0)"),
+        (lambda: star_matching_pair_bound(1, 0, 8, 10), ValueError, "leaf count must be at least 2, got 1"),
+        (lambda: star_matching_pair_bound(2, -1, 8, 10), ValueError,
+         "matching size must be non-negative, got -1"),
+        (lambda: star_factor_upper_bound(path_graph(4), 6, 0), GraphError,
+         "edge budget must be at least 1, got 0"),
+        (lambda: crossover_scan(1, 8), ValueError, "leaf count must be at least 2, got 1"),
+        (lambda: crossover_scan(2, 8, 0), ValueError, "stride must be positive, got 0"),
+    ],
+    ids=["tuple-leaf-0", "pair-k-1", "pair-m-negative", "factor-e-0", "scan-j-1", "scan-step-0"],
+)
+def test_argument_checks_raise(call, exc, message):
+    with pytest.raises(exc) as info:
+        call()
+    assert info.type is exc and str(info.value) == message

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -171,6 +172,21 @@ class TestReporting:
         with pytest.raises(ValueError, match="extremal, trace or scan"):
             emit_report([], kind="bogus")
 
+    @pytest.mark.parametrize(
+        "call, exc, message",
+        [
+            (lambda: emit_report([object()]), TypeError, "cannot report records of type object"),
+            (lambda: emit_report([]), ValueError, "record kind is required for an empty report"),
+            (lambda: emit_report([], format="xml", kind="extremal"), ValueError,
+             "unknown format 'xml': expected csv or json"),
+        ],
+        ids=["non-record", "empty-without-kind", "format-xml"],
+    )
+    def test_argument_checks_raise(self, call, exc, message):
+        with pytest.raises(exc) as info:
+            call()
+        assert info.type is exc and str(info.value) == message
+
 
 # Exact report text: every column, every row, and the JSON value types
 # (counts are strings so big integers survive, indices are numbers).
@@ -238,13 +254,13 @@ class TestGoldenReports:
         ])
 
 
-def _run_cli(args):
-    """Run the CLI in a fresh interpreter on this checkout's sources; fail after 60 s."""
+def _run_cli(args, module="excount.cli"):
+    """Run `python -m module` in a fresh interpreter on this checkout's sources; fail after 60 s."""
     src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.run(
-        [sys.executable, "-m", "excount.cli", *args],
+        [sys.executable, "-m", module, *args],
         capture_output=True,
         text=True,
         env=env,
@@ -372,15 +388,48 @@ class TestCli:
         assert "Traceback" not in proc.stderr
 
     def test_edgeless_pattern_counts_in_one_path(self, tmp_path):
-        # the pattern's 14 isolated vertices are one twin class, so its 14!
-        # automorphisms and its 14! maps into the host are one walked map each
+        # the pattern's 14 isolated vertices are not walked: one binomial
+        # counts their automorphisms and their maps into the host
         host = tmp_path / "host.txt"
         patt = tmp_path / "patt.txt"
-        host.write_text("14 13\n" + "".join(f"{i} {i + 1}\n" for i in range(13)))
         patt.write_text("14 0\n")
+        for n, copies in ((14, 1), (40, math.comb(40, 14))):
+            write_edgelist(path_graph(n), host)
+            proc = _run_cli(["count", "--pattern", str(patt), "--host", str(host), "--kind", "copies"])
+            assert proc.returncode == 0
+            assert proc.stdout == f"{copies}\n"
+
+    def test_deep_pattern_reported_without_traceback(self, tmp_path):
+        # the counter recurses once per pattern vertex with an edge, past the recursion limit
+        host = tmp_path / "host.txt"
+        patt = tmp_path / "patt.txt"
+        write_edgelist(path_graph(1600), host)
+        write_edgelist(path_graph(1500), patt)
         proc = _run_cli(["count", "--pattern", str(patt), "--host", str(host), "--kind", "copies"])
-        assert proc.returncode == 0
-        assert proc.stdout == "1\n"
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: pattern too deep for the backtracking counter (")
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["construct", "--family", "quasi-clique", "--e", "0"],
+            ["transform", "--host", "{graph}"],
+            ["oracle", "--e", "0", "--pattern", "{graph}"],
+        ],
+        ids=["construct", "transform", "oracle"],
+    )
+    def test_vertex_count_capped(self, tmp_path, capsys, monkeypatch, args):
+        monkeypatch.setattr("excount.edgelist.MAX_VERTICES", 5)
+        graph = tmp_path / "graph.txt"
+        graph.write_text("2 1\n0 1\n")
+        args = [a.format(graph=graph) for a in args]
+        assert main([*args, "--n", "5"]) == 0
+        capsys.readouterr()
+        assert main([*args, "--n", "6"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --n 6 exceeds the vertex limit 5\n"
 
     @pytest.mark.parametrize(
         "args",
@@ -426,18 +475,7 @@ class TestCli:
         assert a.read_text() == b.read_text()
 
     def test_console_script_entry(self):
-        import os
-        import pathlib
-
-        src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        proc = subprocess.run(
-            [sys.executable, "-m", "excount.cli", "construct", "--family",
-             "quasi-clique", "--n", "5", "--e", "10"],
-            capture_output=True,
-            text=True,
-            env=env,
-        )
-        assert proc.returncode == 0
-        assert proc.stdout.splitlines()[0] == "5 10"
+        for module in ("excount.cli", "excount"):
+            proc = _run_cli(["construct", "--family", "quasi-clique", "--n", "5", "--e", "10"], module)
+            assert proc.returncode == 0
+            assert proc.stdout.splitlines()[0] == "5 10"

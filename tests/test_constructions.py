@@ -177,3 +177,17 @@ class TestSmallSide:
                 while t * (n - t) < e:
                     t += 1
                 assert small_side(n, e) == t, (n, e)
+
+
+@pytest.mark.parametrize(
+    "call, exc, message",
+    [
+        (lambda: clique_decomposition(-1), GraphError, "edge count must be non-negative, got -1"),
+        (lambda: bipartite_shape(8, 0), GraphError, "shape is defined for e >= 1, got 0"),
+    ],
+    ids=["decomposition-e-negative", "shape-e-0"],
+)
+def test_argument_checks_raise(call, exc, message):
+    with pytest.raises(exc) as info:
+        call()
+    assert info.type is exc and str(info.value) == message

@@ -200,12 +200,27 @@ class TestAutomorphisms:
         with deadline(5):
             assert automorphism_count(G) == order
 
+    @pytest.mark.parametrize(
+        "count, want",
+        [
+            (lambda: inj_homs(empty_graph(14), complete_graph(40)), math.perm(40, 14)),
+            (lambda: automorphism_count(empty_graph(5000)), math.factorial(5000)),
+            (lambda: inj_homs(disjoint_union(path_graph(4), empty_graph(10)), complete_graph(40)),
+             inj_homs(path_graph(4), complete_graph(40)) * math.perm(36, 10)),
+        ],
+        ids=["14K1-in-K40", "5000K1", "P4+10K1-in-K40"],
+    )
+    def test_isolated_vertices_are_counted_not_walked(self, count, want):
+        # walked one increasing image at a time, the first takes C(40, 14) leaves
+        with deadline(1):
+            assert count() == want
+
 
 class TestTwinSymmetry:
     @given(twin_patterns(), graphs_st(nmax=7))
     @settings(max_examples=150, deadline=None)
     def test_counter_equals_permutation_count(self, H, G):
-        assert PatternCounter(H).count(G.adj, G.degrees) == brute_inj_homs(H, G)
+        assert PatternCounter(H).count(G) == brute_inj_homs(H, G)
 
 
 class TestCountCopies:
@@ -265,14 +280,14 @@ class TestHomomorphismBasis:
     def test_basis_equals_backtracker(self, G, name):
         H = BASIS_PATTERNS[name]
         assert _hom_basis(H) is not None
-        assert inj_homs(H, G) == PatternCounter(H).count(G.adj, G.degrees)
+        assert inj_homs(H, G) == PatternCounter(H).count(G)
 
     @given(graphs_st(nmax=9), st.sampled_from(sorted(FALLBACK_PATTERNS)))
     @settings(max_examples=40, deadline=None)
     def test_fallback_patterns_agree(self, G, name):
         H = FALLBACK_PATTERNS[name]
         assert _hom_basis(H) is None
-        assert inj_homs(H, G) == PatternCounter(H).count(G.adj, G.degrees)
+        assert inj_homs(H, G) == PatternCounter(H).count(G)
 
     def test_empty_pattern_has_one_map(self):
         assert inj_homs(Graph(0), complete_graph(3)) == 1
@@ -372,3 +387,19 @@ class TestStarMatchingPairs:
                     assert count_star_matching_pairs(G, k, m) == brute_star_matching_pairs(
                         G, k, m
                     )
+
+
+@pytest.mark.parametrize(
+    "call, exc, message",
+    [
+        (lambda: count_star_matching_pairs(path_graph(4), 0, 1), ValueError,
+         "leaf count must be at least 1, got 0"),
+        (lambda: count_star_matching_pairs(path_graph(4), 2, -1), ValueError,
+         "matching size must be non-negative, got -1"),
+    ],
+    ids=["pairs-k-0", "pairs-m-negative"],
+)
+def test_argument_checks_raise(call, exc, message):
+    with pytest.raises(exc) as info:
+        call()
+    assert info.type is exc and str(info.value) == message

@@ -215,3 +215,14 @@ class TestEdgeStarCover:
                 cover = edge_star_cover(g)
                 assert cover is not None
                 assert cover_violation(g, cover) is None
+
+
+@pytest.mark.parametrize(
+    "call, exc, message",
+    [(lambda: spanning_tree(Graph(0)), GraphError, "graph has no vertices")],
+    ids=["tree-of-no-vertices"],
+)
+def test_argument_checks_raise(call, exc, message):
+    with pytest.raises(exc) as info:
+        call()
+    assert info.type is exc and str(info.value) == message

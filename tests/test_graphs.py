@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from excount.graphs import (
     Bipartition,
     FerrersDiagram,
+    Graph,
     GraphError,
     are_isomorphic,
     bipartition_of,
@@ -328,3 +329,19 @@ class TestIsomorphism:
 
     def test_different_sizes(self):
         assert not are_isomorphic(empty_graph(3), empty_graph(4))
+
+
+@pytest.mark.parametrize(
+    "call, exc, message",
+    [
+        (lambda: Graph(-1), GraphError, "vertex count must be non-negative, got -1"),
+        (lambda: cycle_graph(2), GraphError, "cycle needs at least 3 vertices, got 2"),
+        (lambda: star_graph(0), GraphError, "star needs at least one leaf, got 0"),
+        (lambda: conjugate([-1]), ValueError, "partition entries must be non-negative"),
+    ],
+    ids=["graph-n-negative", "cycle-2", "star-0", "conjugate-negative"],
+)
+def test_argument_checks_raise(call, exc, message):
+    with pytest.raises(exc) as info:
+        call()
+    assert info.type is exc and str(info.value) == message

@@ -103,7 +103,7 @@ def _labeled_record(n, e, H, host_class, witnesses):
                 elif star:
                     scores[orbit] = sum(perm(d, H.n - 1) for d in g.degrees)
                 else:
-                    scores[orbit] = counter.count(g.adj, g.degrees)
+                    scores[orbit] = counter.count(g)
             score = scores[orbit]
             if score > best:
                 best, kept = score, {}

@@ -22,6 +22,7 @@ from excount.graphs import (
     realize_diagram,
 )
 from excount.transform import (
+    TraceEntry,
     cell_weight,
     durfee_fold,
     run_transformation,
@@ -371,3 +372,21 @@ class TestRewriteProperties:
         assert all(sum(t.columns) == g.edge_count for t in trace.entries)
         assert trace.entries[-1].stars_k == count_stars(endpoint, k)
         assert are_isomorphic(endpoint, quasi_complete_bipartite(g.n, g.edge_count))
+
+
+@pytest.mark.parametrize(
+    "call, exc, message",
+    [
+        (lambda: TraceEntry("bogus", 0, 0, ()), ValueError, "unknown step kind 'bogus'"),
+        (lambda: total_weight(FerrersDiagram((2, 1)), 1), ValueError, "leaf count must be at least 2, got 1"),
+        (lambda: shift_to_nested(complete_bipartite(1, 2), bipartition_of(complete_bipartite(1, 2)), 1),
+         ValueError, "leaf count must be at least 2, got 1"),
+        (lambda: run_transformation(complete_bipartite(2, 2), 2, 3), GraphError,
+         "vertex budget 3 is below the graph's 4 vertices"),
+    ],
+    ids=["trace-kind", "weight-k-1", "shift-k-1", "vertex-budget-below-n"],
+)
+def test_argument_checks_raise(call, exc, message):
+    with pytest.raises(exc) as info:
+        call()
+    assert info.type is exc and str(info.value) == message

@@ -45,3 +45,10 @@ def test_report_records_scale_and_seed(monkeypatch):
     )
     report = run_verify_suite("quick", 99)
     assert (report.scale, report.seed) == ("quick", 99)
+
+
+def test_result_shows_five_failures_and_counts_the_rest():
+    failures = [f"case {i}" for i in range(7)]
+    result = verify._result("stub", failures)
+    assert not result.passed
+    assert result.detail == "case 0; case 1; case 2; case 3; case 4 (+2 more)"
