@@ -11,7 +11,9 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb, isqrt
 
-from .graphs import Graph, GraphError, complement, empty_graph, make_graph
+from .graphs import Graph, GraphError, empty_graph, make_graph
+# bench/tracer.py wraps complement here, so it stays imported.
+from .graphs import complement  # noqa: F401
 
 
 @dataclass(frozen=True, slots=True)
@@ -58,9 +60,17 @@ def quasi_clique(n: int, e: int) -> Graph:
 
 
 def quasi_star(n: int, e: int) -> Graph:
-    """Complement of the quasi-clique on the complementary edge budget."""
+    """Complement of the quasi-clique on the complementary edge budget, built directly.
+
+    With C(n, 2) - e = C(a, 2) + b, vertices a+1..n-1 are joined to every
+    vertex and vertex a, if a < n, to b..a-1. Pairs come in the order
+    `complement` lists them; a vertex below b has none unless a + 1 < n.
+    """
     check_edge_count(n, e, comb(n, 2))
-    return complement(quasi_clique(n, comb(n, 2) - e))
+    dec = clique_decomposition(comb(n, 2) - e)
+    a, b = dec.a, dec.b
+    first = 0 if a + 1 < n else b
+    return make_graph(n, [(u, v) for u in range(first, n) for v in range(max(u + 1, a + (u < b)), n)])
 
 
 def family_degrees(n: int, e: int) -> tuple[list[int], list[int]]:

@@ -22,10 +22,10 @@ Witnesses are the labeled hosts a labeled sweep would keep: the earliest
 maximal hosts of distinct classes in pool-then-rank order, where a pool is
 every pair or the cross pairs of one bipartition side p (left part 0..p-1)
 and ranks order a pool's e-subsets lexicographically. The lowest-rank copy
-of a class in each pool comes from the same search, so no labeled host is
-walked. The budget still counts the labeled e-subsets of the pools, the
-size of the labeled sweep, and is checked from closed-form pool sizes
-before anything is built.
+of a class in the first pool that holds it comes from the same search, so
+no labeled host is walked. The budget still counts the labeled e-subsets
+of the pools, the size of the labeled sweep, and is checked from
+closed-form pool sizes before anything is built.
 """
 from __future__ import annotations
 
@@ -130,7 +130,7 @@ def _classes(n: int, e: int, host_class: str):
 
 
 def _first_labeling(
-    masks: list[int], twins: list[int], rows: int, cols: int | None, own: list[int] | None = None
+    masks: list[int], rows: int, cols: int | None, own: list[int] | None = None
 ) -> list[int] | None:
     """Row vertices, then column vertices, in the label order with the lex-max indicator string.
 
@@ -143,15 +143,17 @@ def _first_labeling(
     1^a 0^(s-a) per cell, held as an integer with its first column at bit
     0: a row beats another when it holds their lowest differing bit. With
     every pair a candidate must lie in the first cell. Only the candidates
-    with the best row are kept, one per twin class, and states are
-    deduplicated by their unlabeled rows and ordered partition, since
-    earlier labels do not affect later rows.
+    with the best row are kept, one per `twin_classes` class of masks, as
+    permuting twins is an automorphism, and states are deduplicated by
+    their unlabeled rows and ordered partition: earlier labels do not
+    affect later rows.
 
     own, if given, holds the rows of the identity labeling in that
     encoding. The search then keeps only candidates whose row equals own's
     and returns None at the first that beats it, so it returns a labeling
     exactly when the identity labeling is already lex-max.
     """
+    twins = [sum(1 << v for v in members) for members in twin_classes(masks)]
     same = cols is None
     states = {(rows, (rows if same else cols,)): []}
     for i in range(rows.bit_count()):
@@ -191,51 +193,43 @@ def _is_first_host(masks: list[int]) -> bool:
     shifted down past its own label.
     """
     live = masks[:max(masks).bit_length()]
-    twins = [sum(1 << v for v in members) for members in twin_classes(live)]
     own = [m >> v + 1 for v, m in enumerate(live)]
-    return _first_labeling(live, twins, (1 << len(live)) - 1, None, own) is not None
+    return _first_labeling(live, (1 << len(live)) - 1, None, own) is not None
 
 
-def _first_host(G: Graph, p: int | None) -> tuple[tuple[int, int], ...] | None:
-    """The lowest-rank labeled copy of G in pool p as sorted pairs, or None if p holds none.
+def _first_host(G: Graph, sides: range | list[None]) -> tuple[int, tuple[tuple[int, int], ...]] | None:
+    """(Index of the first pool in sides that holds G, G's lowest-rank copy there), or None if none does.
 
     Pool None is every pair; pool p is the cross pairs of left part
     0..p-1. Pairs in row order sort as their ranks, so the least sorted
-    pair tuple is the lowest rank. For pool p every two-coloring of the
-    components with edges that reaches p left vertices once isolated
-    vertices are added is searched, keeping the least host. Isolated
-    vertices take the last labels: the last left labels, then the last
-    right labels. Permuting twins is an automorphism, so the search tries
-    one member of each `twin_classes` class among the vertices with edges.
+    pair tuple is the lowest rank. Pool p holds G when a two-coloring of
+    the components with edges reaches p left vertices once isolated
+    vertices are added; each such coloring of the first pool is searched,
+    keeping the least host. Isolated vertices take the last labels: the
+    last left labels, then the last right labels.
     """
     masks = [sum(1 << w for w in a) for a in G.adj]
     live = [v for v in range(G.n) if masks[v]]
     isolated = [v for v in range(G.n) if not masks[v]]
-    twins = [sum(1 << v for v in members) for members in twin_classes(masks) if masks[members[0]]]
     everyone = sum(1 << v for v in live)
-    if p is None:
-        orders = [_first_labeling(masks, twins, everyone, None) + isolated]
+    if sides[0] is None:
+        index, orders = 0, [_first_labeling(masks, everyone, None) + isolated]
     else:
         component, color = two_coloring(G)
-        sides: dict[int, list[int]] = {}
+        parts: dict[int, list[int]] = {}
         for v in live:
-            sides.setdefault(component[v], [0, 0])[color[v]] |= 1 << v
+            parts.setdefault(component[v], [0, 0])[color[v]] |= 1 << v
+        lefts = [sum(map(list.__getitem__, parts.values(), f)) for f in product((0, 1), repeat=len(parts))]
+        fits = ([left for left in lefts if 0 <= p - left.bit_count() <= len(isolated)] for p in sides)
+        index, fit = next(((i, fit) for i, fit in enumerate(fits) if fit), (None, []))
         orders = []
-        for flips in product((0, 1), repeat=len(sides)):
-            left = sum(map(list.__getitem__, sides.values(), flips))
-            k, rows = p - left.bit_count(), left.bit_count()
-            if 0 <= k <= len(isolated):
-                order = _first_labeling(masks, twins, left, everyone ^ left)
-                orders.append(order[:rows] + isolated[:k] + order[rows:] + isolated[k:])
-    hosts = []
-    for order in orders:
-        label = [0] * G.n
-        for i, v in enumerate(order):
-            label[v] = i
-        hosts.append(tuple(
-            (i, j) for i, v in enumerate(order) for j in sorted([label[w] for w in G.adj[v]]) if j > i
-        ))
-    return min(hosts, default=None)
+        for left in fit:
+            rows, k = left.bit_count(), sides[index] - left.bit_count()
+            order = _first_labeling(masks, left, everyone ^ left)
+            orders.append(order[:rows] + isolated[:k] + order[rows:] + isolated[k:])
+    labels = [dict(zip(order, range(G.n))) for order in orders]
+    hosts = [sorted((min(at[u], at[v]), max(at[u], at[v])) for u, v in G.edges) for at in labels]
+    return (index, tuple(min(hosts))) if hosts else None
 
 
 def _sweep(
@@ -249,9 +243,8 @@ def _sweep(
 ) -> ExtremalRecord:
     """Check the budget from the pool sizes, score each class once, search the maximal ones for witnesses.
 
-    Every class is scored by one `PatternCounter` for H. A maximal class is
-    keyed by the first pool in sides that holds it and its lowest-rank copy
-    there; the witnesses are the first keys.
+    Every class is scored by one `PatternCounter` for H. One `_first_host`
+    call per maximal class gives its key; the witnesses are the first keys.
     """
     if witnesses < 0:
         raise ValueError(f"witness count must be non-negative, got {witnesses}")
@@ -267,10 +260,7 @@ def _sweep(
         if score == best:
             maximal.append(G)
 
-    keys = []
-    for G in maximal if witnesses > 0 else ():
-        hosts = (_first_host(G, p) for p in sides)
-        keys.append(next((i, host) for i, host in enumerate(hosts) if host is not None))
+    keys = [_first_host(G, sides) for G in maximal] if witnesses > 0 else []
     kept = [make_graph(n, host) for _, host in sorted(keys)[:witnesses]]
     aut = automorphism_count(H)
     if best % aut:
@@ -341,7 +331,7 @@ def ex_trifree_oracle(
     return _sweep(n, e, H, "triangle_free", [None], budget, witnesses)
 
 
-def nonmonotonicity_demo(**kwargs) -> tuple[int, int]:
+def nonmonotonicity_demo() -> tuple[int, int]:
     """Bipartite maxima of the 2-leaf star at (n, e) = (8, 12) and (8, 13).
 
     More edges, strictly fewer stars: the 12-edge optimum is a complete
@@ -349,8 +339,8 @@ def nonmonotonicity_demo(**kwargs) -> tuple[int, int]:
     problem cannot extend it.
     """
     pattern = make_graph(3, [(0, 1), (0, 2)])
-    first = ex_bip_oracle(8, 12, pattern, **kwargs)
-    second = ex_bip_oracle(8, 13, pattern, **kwargs)
+    first = ex_bip_oracle(8, 12, pattern)
+    second = ex_bip_oracle(8, 13, pattern)
     if first.maximum <= second.maximum:
         raise RuntimeError(
             f"expected a strict drop, got {first.maximum} and {second.maximum}"

@@ -274,6 +274,11 @@ class TestCli:
         out = capsys.readouterr().out
         assert out.splitlines()[0] == "8 12"
 
+    def test_construct_wide_quasi_star(self, capsys):
+        # The quasi-star is built from its own edges, not as a complement of C(n, 2) pairs.
+        assert main(["construct", "--family", "quasi-star", "--n", "100000", "--e", "3"]) == 0
+        assert capsys.readouterr().out == "100000 3\n99996 99999\n99997 99999\n99998 99999\n"
+
     def test_construct_count_pipeline(self, tmp_path, capsys):
         host = tmp_path / "host.txt"
         main(["construct", "--family", "quasi-bipartite", "--n", "8", "--e", "12",

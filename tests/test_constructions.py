@@ -1,3 +1,4 @@
+import tracemalloc
 from math import comb
 
 import pytest
@@ -23,6 +24,7 @@ from excount.graphs import (
     complete_graph,
     empty_graph,
 )
+from test_counting import deadline
 
 
 class TestCliqueDecomposition:
@@ -89,10 +91,25 @@ class TestQuasiStar:
         assert quasi_star(4, 6) == complete_graph(4)
 
     def test_complement_pairing_exhaustive(self):
-        for n in range(1, 11):
+        # The quasi-star is the complement of the quasi-clique, down to the
+        # order in which pairs enter the Graph.
+        for n in range(13):
             top = comb(n, 2)
             for e in range(top + 1):
-                assert quasi_star(n, top - e) == complement(quasi_clique(n, e))
+                built, reference = quasi_star(n, top - e), complement(quasi_clique(n, e))
+                assert built == reference and list(built.edges) == list(reference.edges)
+
+    def test_wide_host_costs_its_edges_not_its_pairs(self):
+        # A complement of the quasi-clique would walk all C(n, 2) pairs.
+        tracemalloc.start()
+        try:
+            with deadline(1):
+                g = quasi_star(10**5, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.sorted_edges() == [(99996, 99999), (99997, 99999), (99998, 99999)]
+        assert peak < 10 * 2**20
 
 
 class TestFamilyDegrees:

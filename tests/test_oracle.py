@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import excount.oracle as oracle
-from excount.constructions import quasi_clique, quasi_complete_bipartite, quasi_star
+from excount.constructions import quasi_clique, quasi_complete_bipartite, quasi_star, small_side
 from excount.counting import PatternCounter, automorphism_count, count_copies, star_sum
 from excount.graphs import (
     are_isomorphic,
@@ -229,7 +229,7 @@ class TestClasses:
                         for left in combinations(range(n), r)
                         if all((u in left) != (v in left) for u, v in combo)
                     }
-                    got = {p for p in range(n + 1) if oracle._first_host(g, p) is not None}
+                    got = {p for p in range(n + 1) if oracle._first_host(g, [p]) is not None}
                     assert got == want, combo
 
     def test_walk_builds_only_hosts_that_can_be_witnesses(self, monkeypatch):
@@ -270,7 +270,7 @@ class TestClasses:
                 if host_class == "all" and 2 * e > top:
                     break
                 for G in oracle._classes(n, e, host_class):
-                    assert tuple(G.sorted_edges()) == oracle._first_host(G, None)
+                    assert tuple(G.sorted_edges()) == oracle._first_host(G, [None])[1]
 
     def test_keep_test_accepts_exactly_the_least_relabeling(self):
         # Brute force over all n! relabelings of every labeled graph.
@@ -390,7 +390,8 @@ class TestFirstHost:
     @pytest.mark.parametrize("host_class", list(ORACLES))
     def test_is_the_least_relabeling_of_every_class(self, host_class):
         # Brute force over all n! relabelings: the least sorted tuple of pool
-        # indices among the relabelings whose edges all lie in the pool.
+        # indices among the relabelings whose edges all lie in the pool. The
+        # bipartite oracle's pools key a class by the first that holds it.
         for n in range(1, 7):
             perms = list(permutations(range(n)))
             top = comb(n, 2) if host_class == "all" else n * n // 4
@@ -401,6 +402,7 @@ class TestFirstHost:
             for e in range(top + 1):
                 for G in oracle._classes(n, e, host_class):
                     edges = G.sorted_edges()
+                    least = {}
                     for p, pool in pools.items():
                         index = {pair: i for i, pair in enumerate(pool)}
                         ranks = []
@@ -408,11 +410,18 @@ class TestFirstHost:
                             moved = [(min(pi[u], pi[v]), max(pi[u], pi[v])) for u, v in edges]
                             if all(pair in index for pair in moved):
                                 ranks.append(tuple(sorted(index[pair] for pair in moved)))
-                        host = oracle._first_host(G, p)
+                        key = oracle._first_host(G, [p])
                         if not ranks:
-                            assert host is None, (edges, p)
+                            assert key is None, (edges, p)
                         else:
-                            assert tuple(index[pair] for pair in host) == min(ranks), (edges, p)
+                            assert tuple(index[pair] for pair in key[1]) == min(ranks), (edges, p)
+                            least[p] = min(ranks)
+                    if host_class == "bipartite":
+                        sides = range(small_side(n, e), n // 2 + 1)
+                        first = next(i for i, p in enumerate(sides) if p in least)
+                        i, host = oracle._first_host(G, sides)
+                        rank = {pair: r for r, pair in enumerate(pools[sides[i]])}
+                        assert i == first and tuple(rank[pair] for pair in host) == least[sides[i]]
 
     def test_witness_search_builds_one_graph_per_maximal_class(self, monkeypatch):
         built = []
@@ -422,6 +431,13 @@ class TestFirstHost:
             return make_graph(n, edges)
 
         monkeypatch.setattr(oracle, "make_graph", counting_make_graph)
+        keyed, first_host = [], oracle._first_host
+
+        def counting_first_host(G, sides):
+            keyed.append(G)
+            return first_host(G, sides)
+
+        monkeypatch.setattr(oracle, "_first_host", counting_first_host)
         H = path_graph(4)
         classes = list(oracle._classes(8, 16, "triangle_free"))
         class_builds = len(built)
@@ -429,6 +445,7 @@ class TestFirstHost:
         rec = ex_trifree_oracle(8, 16, H)
         maximal = [G for G in classes if count_copies(H, G) == rec.maximum]
         assert len(built) <= class_builds + len(maximal)
+        assert keyed == maximal
         k44 = [(0, 1), (0, 2), (0, 3), (0, 4)] + [(i, j) for i in (1, 2, 3, 4) for j in (5, 6, 7)]
         assert [w.sorted_edges() for w in rec.witnesses] == [k44]
 
