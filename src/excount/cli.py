@@ -208,9 +208,6 @@ def main(argv: list[str] | None = None) -> int:
     except (GraphError, EnumerationBudgetError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RecursionError as exc:  # the counter recurses once per pattern vertex with an edge
-        print(f"error: pattern too deep for the backtracking counter ({exc})", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

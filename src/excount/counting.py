@@ -9,7 +9,7 @@ from __future__ import annotations
 from collections import defaultdict
 from functools import lru_cache
 from itertools import repeat
-from math import comb, factorial
+from math import comb, factorial, perm
 from typing import Iterable
 
 from .graphs import Graph, bfs, disjoint_union, path_graph, star_graph, twin_classes
@@ -38,6 +38,7 @@ class PatternCounter:
     reference for the basis. Vertices are visited in BFS order from each
     component's highest-degree vertex, components by that degree, so each
     later vertex of a component has a placed neighbor to prune against.
+    The walk keeps its own stack, so no pattern depth meets a recursion limit.
 
     Twin symmetry is broken after Grochow and Kellis (RECOMB 2007), with
     twins (see `twin_classes`) in place of a precomputed automorphism
@@ -84,30 +85,34 @@ class PatternCounter:
         adj, degrees, parents, mindeg = G.adj, G.degrees, self.parents, self.mindeg
         twin_before, twins_after = self.twin_before, self.twins_after
         used, images = [False] * nG, [0] * nH + [-1]
-
-        def extend(i: int) -> int:
-            if i == walked:
-                return 1
-            total = 0
-            need = mindeg[i]
-            lo, hi = images[twin_before[i]], nG - twins_after[i]
-            ps = parents[i]
-            if ps:
-                cands = adj[images[ps[0]]]
-                for p in ps[1:]:
-                    cands = cands & adj[images[p]]
-            else:
-                cands = range(lo + 1, hi)
-            for v in cands:
-                if used[v] or degrees[v] < need or not lo < v < hi:
+        # one frame per open position: its candidates and the bounds taken when it was entered
+        total, frames, i = int(not walked), [], 0 if walked else -1
+        while i >= 0:
+            if len(frames) == i:
+                need, lo, hi = mindeg[i], images[twin_before[i]], nG - twins_after[i]
+                if ps := parents[i]:
+                    cands = adj[images[ps[0]]]
+                    for p in ps[1:]:
+                        cands = cands & adj[images[p]]
+                else:
+                    cands = range(lo + 1, hi)
+                if i == walked - 1:  # the last walked position is counted, not placed
+                    for v in cands:
+                        total += not (used[v] or degrees[v] < need or not lo < v < hi)
+                    i -= 1
                     continue
-                used[v] = True
-                images[i] = v
-                total += extend(i + 1)
-                used[v] = False
-            return total
-
-        return extend(0) * comb(nG - walked, nH - walked) * self.orbit
+                frames.append((iter(cands), lo, hi, need))
+            else:  # back from position i + 1: free position i's image
+                used[images[i]] = False
+            it, lo, hi, need = frames[i]
+            for v in it:
+                if not (used[v] or degrees[v] < need or not lo < v < hi):
+                    used[v], images[i], i = True, v, i + 1
+                    break
+            else:
+                frames.pop()
+                i -= 1
+        return total * comb(nG - walked, nH - walked) * self.orbit
 
 
 BASIS_MAX_VERTICES = 8  # Bell(8) = 4140 partitions
@@ -199,13 +204,17 @@ def _hom_basis(H: Graph) -> tuple[tuple[Graph, int], ...] | None:
 def inj_homs(H: Graph, G: Graph) -> int:
     """Number of injective vertex maps H -> G carrying edges to edges.
 
-    Summed over H's homomorphism basis (Curticapean, Dell and Marx, STOC
-    2017) when there is one, else counted by PatternCounter.
+    Summed over the homomorphism basis (Curticapean, Dell and Marx, STOC
+    2017) of H's w vertices with an edge, relabeled in order, times
+    perm(n_G - w, n_H - w) for the isolated ones; else PatternCounter counts.
     """
-    terms = _hom_basis(H)
+    if H.n > G.n:
+        return 0
+    label = {v: i for i, v in enumerate(v for v in range(H.n) if H.degrees[v])}
+    terms = _hom_basis(Graph(len(label), [(label[u], label[v]) for u, v in H.edges]))
     if terms is None:
         return PatternCounter(H).count(G)
-    return sum(mu * _hom(F, G) for F, mu in terms)
+    return sum(mu * _hom(F, G) for F, mu in terms) * perm(G.n - len(label), H.n - len(label))
 
 
 def automorphism_count(H: Graph) -> int:

@@ -23,9 +23,8 @@ maximal hosts of distinct classes in pool-then-rank order, where a pool is
 every pair or the cross pairs of one bipartition side p (left part 0..p-1)
 and ranks order a pool's e-subsets lexicographically. The lowest-rank copy
 of a class in the first pool that holds it comes from the same search, so
-no labeled host is walked. The budget still counts the labeled e-subsets
-of the pools, the size of the labeled sweep, and is checked from
-closed-form pool sizes before anything is built.
+no labeled host is walked. The budget counts the labeled hosts of the
+largest level built and is checked before anything is built, see `_sweep`.
 """
 from __future__ import annotations
 
@@ -46,11 +45,11 @@ _store: tuple[tuple[int, str] | None, list[list[tuple[tuple[int, int], ...]]]] =
 
 
 class EnumerationBudgetError(RuntimeError):
-    """The requested sweep is larger than the configured budget."""
+    """The largest level the requested sweep builds holds more labeled hosts than the budget."""
 
     def __init__(self, required: int, budget: int):
         super().__init__(
-            f"enumeration needs {required} hosts, above the budget of {budget}; "
+            f"enumeration needs at least {required} hosts, above the budget of {budget}; "
             "raise the budget to force the run"
         )
         self.required = required
@@ -67,6 +66,11 @@ class ExtremalRecord:
     host_class: str
     maximum: int
     witnesses: tuple[Graph, ...]
+
+
+def _depth(n: int, e: int, host_class: str) -> int:
+    """The last level `_classes` builds: all-host levels above C(n, 2) / 2 edges are complements."""
+    return comb(n, 2) - e if host_class == "all" and 2 * e > comb(n, 2) else e
 
 
 def _classes(n: int, e: int, host_class: str):
@@ -91,8 +95,8 @@ def _classes(n: int, e: int, host_class: str):
     bipartite parent's two-coloring.
     """
     global _store
-    flip = host_class == "all" and 2 * e > comb(n, 2)
-    depth = comb(n, 2) - e if flip else e
+    depth = _depth(n, e, host_class)
+    flip = depth < e
     key, (stored, levels) = (n, host_class), _store
     if stored != key or len(levels) <= depth:
         levels = levels.copy() if stored == key else [[()]]
@@ -241,16 +245,23 @@ def _sweep(
     budget: int,
     witnesses: int,
 ) -> ExtremalRecord:
-    """Check the budget from the pool sizes, score each class once, search the maximal ones for witnesses.
+    """Check the budget, score each class once, search the maximal ones for witnesses.
 
-    Every class is scored by one `PatternCounter` for H. One `_first_host`
-    call per maximal class gives its key; the witnesses are the first keys.
+    The budget counts C(m, min(depth, m // 2)) labeled hosts per pool m at
+    the largest level `_classes` builds, by partial products that stop past
+    it. One `PatternCounter` scores every class; one `_first_host` call per
+    maximal class gives its key, and the witnesses are the first keys.
     """
     if witnesses < 0:
         raise ValueError(f"witness count must be non-negative, got {witnesses}")
-    required = sum(comb(comb(n, 2) if p is None else p * (n - p), e) for p in sides)
-    if required > budget:
-        raise EnumerationBudgetError(required, budget)
+    depth, required = _depth(n, e, host_class), 0
+    for m in (p * (n - p) for p in range(n // 2 + 1)) if host_class == "bipartite" else [comb(n, 2)]:
+        hosts = 1
+        for i in range(1, min(depth, m // 2) + 1):
+            if required + (hosts := hosts * (m - i + 1) // i) > budget:
+                break
+        if (required := required + hosts) > budget:
+            raise EnumerationBudgetError(required, budget)
     counter = PatternCounter(H)
     best, maximal = -1, []
     for G in _classes(n, e, host_class):

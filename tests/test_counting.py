@@ -201,19 +201,27 @@ class TestAutomorphisms:
             assert automorphism_count(G) == order
 
     @pytest.mark.parametrize(
-        "count, want",
+        "count, want, walks",
         [
-            (lambda: inj_homs(empty_graph(14), complete_graph(40)), math.perm(40, 14)),
-            (lambda: automorphism_count(empty_graph(5000)), math.factorial(5000)),
+            (lambda: inj_homs(empty_graph(14), complete_graph(40)), math.perm(40, 14), False),
+            (lambda: automorphism_count(empty_graph(5000)), math.factorial(5000), True),
             (lambda: inj_homs(disjoint_union(path_graph(4), empty_graph(10)), complete_graph(40)),
-             inj_homs(path_graph(4), complete_graph(40)) * math.perm(36, 10)),
+             inj_homs(path_graph(4), complete_graph(40)) * math.perm(36, 10), False),
         ],
         ids=["14K1-in-K40", "5000K1", "P4+10K1-in-K40"],
     )
-    def test_isolated_vertices_are_counted_not_walked(self, count, want):
-        # walked one increasing image at a time, the first takes C(40, 14) leaves
+    def test_isolated_vertices_are_counted_not_walked(self, monkeypatch, count, want, walks):
+        # walked one increasing image at a time, the first takes C(40, 14) leaves;
+        # inj_homs chooses the basis on the vertices with edges, so it never reaches the counter
+        if not walks:
+            monkeypatch.setattr(PatternCounter, "count", lambda self, G: pytest.fail("counter was called"))
         with deadline(1):
             assert count() == want
+
+    def test_path_deeper_than_the_recursion_limit(self):
+        # the walk keeps its own stack, so 1100 positions need no call frames
+        with deadline(10):
+            assert automorphism_count(path_graph(1100)) == 2
 
 
 class TestTwinSymmetry:
@@ -233,6 +241,10 @@ class TestCountCopies:
 
     def test_paths_in_square(self):
         assert count_copies(path_graph(4), cycle_graph(4)) == 4
+
+    def test_path_deeper_than_the_recursion_limit(self):
+        with deadline(20):
+            assert count_copies(path_graph(1100), path_graph(1101)) == 2
 
     def test_identity_with_automorphisms(self):
         rng = random.Random(9)
@@ -269,6 +281,9 @@ BASIS_PATTERNS = {
     "S3": star_graph(3),
     "S2+K2": disjoint_union(star_graph(2), path_graph(2)),
     "S2+2K2": disjoint_union(star_graph(2), path_graph(2), path_graph(2)),
+    # the basis is chosen on the vertices with edges: 9 vertices, 5 with edges
+    "P4+2K1": disjoint_union(path_graph(4), empty_graph(2)),
+    "S2+K2+4K1": disjoint_union(star_graph(2), path_graph(2), empty_graph(4)),
 }
 # K4 has treewidth 3; the 9-vertex star exceeds the basis's pattern size.
 FALLBACK_PATTERNS = {"K4": complete_graph(4), "S8": star_graph(8)}
@@ -279,7 +294,9 @@ class TestHomomorphismBasis:
     @settings(max_examples=120, deadline=None)
     def test_basis_equals_backtracker(self, G, name):
         H = BASIS_PATTERNS[name]
-        assert _hom_basis(H) is not None
+        edged = [v for v in range(H.n) if H.degrees[v]]
+        core = make_graph(len(edged), [(edged.index(u), edged.index(v)) for u, v in H.edges])
+        assert _hom_basis(core) is not None
         assert inj_homs(H, G) == PatternCounter(H).count(G)
 
     @given(graphs_st(nmax=9), st.sampled_from(sorted(FALLBACK_PATTERNS)))

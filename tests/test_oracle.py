@@ -34,6 +34,7 @@ from excount.oracle import (
     nonmonotonicity_demo,
 )
 from excount.reporting import emit_report
+from test_counting import deadline
 
 ORACLES = {"all": ex_oracle, "bipartite": ex_bip_oracle, "triangle_free": ex_trifree_oracle}
 
@@ -495,6 +496,42 @@ class TestExOracle:
     def test_budget_guard(self):
         with pytest.raises(EnumerationBudgetError, match="raise the budget"):
             ex_oracle(10, 20, star_graph(2), budget=1000)
+
+    @pytest.mark.parametrize("budget", [10**3, 10**6, 10**8])
+    def test_budget_refuses_exactly_the_labeled_hosts_at_level_e(self, monkeypatch, budget):
+        # all-host levels above C(n, 2) / 2 edges are complements, so the largest level
+        # built holds C(C(n, 2), e) labeled hosts; a call that passes the check builds a level
+        class Built(Exception):
+            pass
+
+        def build(n, e, host_class):
+            raise Built
+
+        monkeypatch.setattr(oracle, "_classes", build)
+        for n in range(1, 13):
+            for e in range(comb(n, 2) + 1):
+                with pytest.raises((EnumerationBudgetError, Built)) as caught:
+                    ex_oracle(n, e, path_graph(2), budget=budget)
+                assert caught.type is (EnumerationBudgetError if comb(comb(n, 2), e) > budget else Built)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: ex_bip_oracle(12, 36, star_graph(2)),
+            lambda: ex_oracle(300, 10000, path_graph(4)),
+            lambda: ex_oracle(3000, 10**6, path_graph(4)),
+        ],
+        ids=["bipartite-12-36", "all-300-10000", "all-3000-1000000"],
+    )
+    def test_hostile_sizes_are_refused_at_once(self, call):
+        # the bipartite levels below e = 36 hold every class on 12 vertices, and the
+        # exact binomials of the others run past the 4300 digits an int may print
+        with deadline(1), pytest.raises(EnumerationBudgetError):
+            call()
+
+    def test_pattern_deeper_than_the_recursion_limit(self):
+        # every score is 0; the automorphism count walks the 1100-vertex path with its own stack
+        assert ex_oracle(3, 0, path_graph(1100)).maximum == 0
 
     # threads selects no code path: every thread count gives the serial record.
     def test_threads_match_serial(self):

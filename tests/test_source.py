@@ -104,3 +104,45 @@ def test_parameters_are_read():
             unread += [(path.name, function, p.arg) for p in params if p and p.arg not in read]
     assert len(sources) > 10
     assert [u for u in unread if not _may_go_unread(*u)] == []
+
+
+# Functions that may call themselves, each with the bound on its depth.
+RECURSIVE = {
+    # one level per pattern vertex, at most BASIS_MAX_VERTICES
+    "counting._hom_basis.extend",
+    # one level per matched pair, at most 12 vertices by its caller's guard
+    "decomposition._perfect_matching",
+    # one level per vertex with an edge; library-only: verify calls it at n <= 24, the benchmark at n <= 200
+    "graphs.are_isomorphic.extend",
+}
+
+
+def _calls_itself(function: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
+    """Whether the body calls the function's own name, bare or as a self or cls attribute."""
+    calls = [node.func for node in ast.walk(function) if isinstance(node, ast.Call)]
+    return any(
+        isinstance(f, ast.Name) and f.id == function.name
+        or isinstance(f, ast.Attribute) and f.attr == function.name and getattr(f.value, "id", None) in ("self", "cls")
+        for f in calls
+    )
+
+
+def test_no_function_calls_itself():
+    """Recursion depth follows the input, so only the functions in RECURSIVE, whose depth is bounded, recurse."""
+    found = set()
+
+    def visit(node: ast.AST, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = f"{prefix}.{child.name}"
+                if not isinstance(child, ast.ClassDef) and _calls_itself(child):
+                    found.add(name)
+                visit(child, name)
+            else:
+                visit(child, prefix)
+
+    sources = sorted(Path(excount.__file__).parent.glob("*.py"))
+    for path in sources:
+        visit(ast.parse(path.read_text(), filename=str(path)), path.stem)
+    assert len(sources) > 10
+    assert found == RECURSIVE
