@@ -185,19 +185,18 @@ def _hom_basis(H: Graph) -> tuple[tuple[Graph, int], ...] | None:
     """
     if H.n > BASIS_MAX_VERTICES:
         return None
+    # partitions of the vertices placed so far: block of each, block count, mu
+    partial = [((), 0, 1)]
+    for v in range(H.n):
+        grown = []
+        for block_of, k, mu in partial:
+            taken = {block_of[u] for u in H.adj[v] if u < v}
+            grown += [(block_of + (i,), k, -mu * block_of.count(i)) for i in range(k) if i not in taken]
+            grown.append((block_of + (k,), k + 1, mu))
+        partial = grown
     coeff: dict[Graph, int] = defaultdict(int)
-
-    def extend(block_of: tuple[int, ...], k: int, mu: int) -> None:
-        """Place vertex len(block_of) in one of the k blocks so far or a new one."""
-        v = len(block_of)
-        if v == H.n:
-            coeff[Graph(k, {tuple(sorted((block_of[u], block_of[w]))) for u, w in H.edges})] += mu
-            return
-        for i in set(range(k)) - {block_of[u] for u in H.adj[v] if u < v}:
-            extend(block_of + (i,), k, -mu * block_of.count(i))
-        extend(block_of + (k,), k + 1, mu)
-
-    extend((), 0, 1)
+    for block_of, k, mu in partial:
+        coeff[Graph(k, {tuple(sorted((block_of[u], block_of[w]))) for u, w in H.edges})] += mu
     return None if any(_hom(F, Graph(0)) is None for F in coeff) else tuple(coeff.items())
 
 

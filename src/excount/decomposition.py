@@ -1,7 +1,7 @@
 """Spanning trees, star partitions of trees, and edge-plus-star covers.
 
 Every tree on at least two vertices splits into vertex classes that each
-induce a star with at least two vertices; the recursion peels off the
+induce a star with at least two vertices; `star_partition` splits off the
 subtree hanging from a branching neighbor until only stars remain.
 """
 from __future__ import annotations
@@ -41,11 +41,12 @@ def spanning_tree(H: Graph) -> Graph:
 def star_partition(T: Graph) -> StarPartition:
     """Partition a tree into induced stars with at least two vertices each.
 
-    If the current subtree is a star it becomes one class. Otherwise take
-    the lowest-labeled non-leaf v and its lowest-labeled neighbor u that
-    has a neighbor besides v; the vertices nearer u than v form one
-    subtree, the rest the other, and both recurse. Both sides always keep
-    at least two vertices, so the recursion is well founded.
+    Subtrees wait on a pending list, the whole tree first. A subtree that is
+    a star becomes one class. Otherwise take the lowest-labeled non-leaf v
+    and its lowest-labeled neighbor u that has a neighbor besides v; the
+    vertices nearer u than v form one subtree, the rest the other, and both
+    go on the list. Both always keep at least two vertices and fewer than
+    the subtree they came from, so the list runs out.
     """
     if T.n < 2:
         raise GraphError(f"star partition needs at least 2 vertices, got {T.n}")
@@ -90,14 +91,15 @@ def star_factor_profile(H: Graph) -> tuple[int, ...]:
 
 
 def _perfect_matching(verts: frozenset[int], B: Graph) -> frozenset[tuple[int, int]] | None:
-    if not verts:
-        return frozenset()
-    v = min(verts)
-    rest = verts - {v}
-    for u in sorted(B.adj[v] & rest):
-        sub = _perfect_matching(rest - {u}, B)
-        if sub is not None:
-            return sub | {(v, u) if v < u else (u, v)}
+    # (unmatched vertices, pairs so far); partners go on in descending order, so the lowest is tried first
+    stack = [(verts, frozenset())]
+    while stack:
+        rest, pairs = stack.pop()
+        if not rest:
+            return pairs
+        v = min(rest)
+        rest = rest - {v}
+        stack += [(rest - {u}, pairs | {(v, u)}) for u in sorted(B.adj[v] & rest, reverse=True)]
     return None
 
 

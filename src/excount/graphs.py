@@ -345,10 +345,13 @@ def realize_diagram(D: FerrersDiagram, n: int) -> Graph:
 
 
 def are_isomorphic(G1: Graph, G2: Graph) -> bool:
-    """Exact isomorphism by degree-refined backtracking.
+    """Exact isomorphism by backtracking along G1's breadth-first order.
 
-    Intended for desk-scale graphs; the degree-sequence pre-filter rejects
-    most non-isomorphic pairs before any search.
+    G1's vertices with edges are placed in `bfs` order from roots by
+    descending degree, each on an unused G2 vertex of equal degree adjacent
+    to the images of its earlier neighbors. With equal edge counts a map
+    that carries edges to edges carries non-edges to non-edges, and
+    isolated vertices pair off freely. The walk keeps its own stack.
     """
     if G1.n != G2.n:
         return False
@@ -358,33 +361,28 @@ def are_isomorphic(G1: Graph, G2: Graph) -> bool:
         return False
     if sorted(G1.degrees) != sorted(G2.degrees):
         return False
-    n = G1.n
-    # Isolated vertices map to each other freely once the degree sequences agree.
-    order = sorted((v for v in range(n) if G1.degrees[v]), key=lambda v: (-G1.degrees[v], v))
-    images = [-1] * n
-    used = [False] * n
-
-    def extend(pos: int) -> bool:
-        if pos == len(order):
-            return True
-        u = order[pos]
-        du = G1.degrees[u]
-        for cand in range(n):
-            if used[cand] or G2.degrees[cand] != du:
-                continue
-            ok = True
-            for q in range(pos):
-                w = order[q]
-                if (w in G1.adj[u]) != (images[w] in G2.adj[cand]):
-                    ok = False
-                    break
-            if ok:
-                images[u] = cand
-                used[cand] = True
-                if extend(pos + 1):
-                    return True
-                used[cand] = False
-        images[u] = -1
-        return False
-
-    return extend(0)
+    n, adj, degrees = G1.n, G2.adj, G2.degrees
+    order = bfs(G1, sorted(range(n), key=lambda v: (-G1.degrees[v], v)))[0]
+    index_of = {v: i for i, v in enumerate(order)}
+    # per vertex with an edge, which come first: the positions of its earlier neighbors
+    parents = [[index_of[w] for w in G1.adj[v] if index_of[w] < i]
+               for i, v in enumerate(order) if G1.degrees[v]]
+    walked = len(parents)
+    used, images = [False] * n, [0] * walked
+    # one candidate iterator per open position
+    frames, i = [], 0
+    while 0 <= i < walked:
+        if len(frames) == i:
+            ps = parents[i]
+            frames.append(iter(frozenset.intersection(*[adj[images[p]] for p in ps]) if ps else range(n)))
+        else:  # back from position i + 1: free position i's image
+            used[images[i]] = False
+        need = G1.degrees[order[i]]
+        for v in frames[i]:
+            if not used[v] and degrees[v] == need:
+                used[v], images[i], i = True, v, i + 1
+                break
+        else:
+            frames.pop()
+            i -= 1
+    return i == walked

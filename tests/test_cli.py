@@ -337,8 +337,13 @@ class TestCli:
              "edge: 4 5\nstar center=0: 1 2 3\n", 0),
             ("edge-star-cover", "4 3\n0 1\n1 2\n2 3\n", "edge: 0 1\nedge: 2 3\n", 0),
             ("edge-star-cover", "4 3\n0 1\n1 2\n0 2\n", "no cover\n", 1),
+            # vertex 0's lowest partner leaves 2 and 3 unmatched, so the search backs up to 0-3
+            ("edge-star-cover", "4 3\n0 1\n0 3\n1 2\n", "edge: 0 3\nedge: 1 2\n", 0),
+            ("edge-star-cover", "6 6\n0 1\n1 2\n2 3\n3 4\n4 5\n0 5\n",
+             "edge: 0 1\nedge: 2 3\nedge: 4 5\n", 0),
         ],
-        ids=["path-partition", "tree-partition", "star-and-edge", "matching", "no-cover"],
+        ids=["path-partition", "tree-partition", "star-and-edge", "matching", "no-cover",
+             "matching-backs-up", "cycle6-matching"],
     )
     def test_decompose_output(self, tmp_path, capsys, what, edges, out, code):
         patt = tmp_path / "p.txt"

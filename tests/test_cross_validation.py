@@ -1,8 +1,9 @@
 """Cross-checks against an unrelated library implementation (optional).
 
 These tests compare the in-house isomorphism and injective homomorphism
-machinery with networkx's VF2 matcher on random instances; they are
-skipped silently when networkx is not installed.
+machinery with networkx's VF2 matcher on random instances and with its
+atlas of small graphs; they are skipped silently when networkx is not
+installed.
 """
 import random
 from itertools import combinations
@@ -13,6 +14,7 @@ nx = pytest.importorskip("networkx")
 
 from excount.counting import automorphism_count, inj_homs
 from excount.graphs import are_isomorphic, make_graph
+from test_graphs import relabeled
 
 
 def to_nx(g):
@@ -38,6 +40,16 @@ def test_isomorphism_agrees_with_vf2():
         n = max(g.n, h.n) + 3
         g, h = make_graph(n, g.edges), make_graph(n, h.edges)
         assert are_isomorphic(g, h) == nx.is_isomorphic(to_nx(g), to_nx(h))
+
+
+def test_isomorphism_separates_the_atlas_classes():
+    # the atlas lists each class on at most 7 vertices once, so distinct entries are not isomorphic
+    atlas = [make_graph(g.number_of_nodes(), g.edges()) for g in nx.graph_atlas_g()]
+    rng = random.Random(109)
+    assert all(are_isomorphic(g, relabeled(g, rng)) for g in atlas)
+    pairs = [(g, h) for g, h in combinations(atlas, 2) if g.n == h.n and sorted(g.degrees) == sorted(h.degrees)]
+    assert len(pairs) == 3375
+    assert not any(are_isomorphic(g, h) for g, h in pairs)
 
 
 def test_automorphism_count_agrees_with_vf2():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -39,6 +41,30 @@ def partitions_st(max_total=14):
     return st.lists(st.integers(1, 6), min_size=0, max_size=5).map(
         lambda xs: tuple(sorted(xs, reverse=True))
     )
+
+
+def random_cubic(rng, n=24):
+    """A uniform random 3-regular graph by the pairing model, redrawn until simple."""
+    while True:
+        points = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(points)
+        edges = {tuple(sorted(points[i:i + 2])) for i in range(0, 3 * n, 2)}
+        if len(edges) == 3 * n // 2 and all(u != v for u, v in edges):
+            return make_graph(n, edges)
+
+
+def relabeled(G, rng):
+    perm = list(range(G.n))
+    rng.shuffle(perm)
+    return make_graph(G.n, [(perm[u], perm[v]) for u, v in G.edges])
+
+
+def cayley_z4z4(steps):
+    """Cayley graph of Z4 x Z4, vertex (a, b) labeled 4a + b, joined along each step and its inverse."""
+    return make_graph(16, {
+        tuple(sorted((4 * a + b, 4 * ((a + x) % 4) + (b + y) % 4)))
+        for a in range(4) for b in range(4) for x, y in steps
+    })
 
 
 class TestMakeGraph:
@@ -312,23 +338,44 @@ class TestIsomorphism:
         assert not are_isomorphic(padded, make_graph(300, cycle_graph(6).edges))
 
     def test_relabeled_graphs_are_isomorphic(self):
-        import random
-
-        rng = random.Random(11)
         from itertools import combinations
 
+        rng = random.Random(11)
         for _ in range(40):
             n = rng.randint(1, 8)
             pool = list(combinations(range(n), 2))
-            edges = rng.sample(pool, rng.randint(0, len(pool)))
-            perm = list(range(n))
-            rng.shuffle(perm)
-            g = make_graph(n, edges)
-            h = make_graph(n, [(perm[u], perm[v]) for u, v in edges])
-            assert are_isomorphic(g, h)
+            g = make_graph(n, rng.sample(pool, rng.randint(0, len(pool))))
+            assert are_isomorphic(g, relabeled(g, rng))
 
     def test_different_sizes(self):
         assert not are_isomorphic(empty_graph(3), empty_graph(4))
+
+    @pytest.mark.parametrize(
+        "build, seed",
+        [(lambda rng: cycle_graph(1100), 1), (lambda rng: path_graph(200), 1),
+         (random_cubic, 0), (random_cubic, 1), (random_cubic, 4)],
+        ids=["C1100", "P200", "cubic24-seed0", "cubic24-seed1", "cubic24-seed4"],
+    )
+    def test_large_relabeled_graphs_are_isomorphic(self, build, seed):
+        # the cubic seeds are those of 0-7 whose pair ran past 2 s under the search that tried every vertex
+        rng = random.Random(seed)
+        G = build(rng)
+        with deadline(1):
+            assert are_isomorphic(G, relabeled(G, rng))
+
+    @pytest.mark.parametrize(
+        "G1, G2",
+        [
+            (cycle_graph(24), disjoint_union(cycle_graph(12), cycle_graph(12))),
+            # the 4x4 rook's graph and the Shrikhande graph, both srg(16, 6, 2, 2)
+            (cayley_z4z4([(0, 1), (0, 2), (1, 0), (2, 0)]), cayley_z4z4([(0, 1), (1, 0), (1, 1)])),
+        ],
+        ids=["C24-vs-2C12", "rook4x4-vs-Shrikhande"],
+    )
+    def test_pairs_colour_refinement_cannot_separate(self, G1, G2):
+        assert G1.degrees == G2.degrees and G1.edge_count == G2.edge_count
+        with deadline(1):
+            assert not are_isomorphic(G1, G2)
 
 
 @pytest.mark.parametrize(
