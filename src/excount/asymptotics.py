@@ -21,6 +21,10 @@ from .counting import count_stars, inj_homs, star_sum  # noqa: F401
 from .decomposition import star_factor_profile
 from .graphs import Graph, GraphError
 
+# A scan evaluates about n degree terms at each of its C(n, 2) // step + 2
+# samples; 3.2e7 of them took 7.6 s on a 2-vCPU VM, so the cap is about 25 s.
+MAX_SCAN_WORK = 10**8
+
 
 def max_small_side(n: int, e: int) -> int:
     """Largest side size a <= n/2 with a(n - a) <= e; needs e >= n - 1."""
@@ -110,6 +114,9 @@ def crossover_scan(j: int, n: int, step: int = 1) -> DensityScan:
     if step < 1:
         raise ValueError(f"stride must be positive, got {step}")
     top = comb(n, 2)
+    work = (top // step + 2) * n
+    if work > MAX_SCAN_WORK:
+        raise ValueError(f"scan needs {work} degree terms, above {MAX_SCAN_WORK}; raise the step")
     samples = tuple(
         (e, *(star_sum(degrees, j) for degrees in family_degrees(n, e)))
         for e in [*range(0, top, step), top]

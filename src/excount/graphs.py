@@ -305,8 +305,7 @@ def column_part(degrees: Sequence[int], P: Bipartition) -> frozenset[int]:
 
     It is the part holding the highest-degree vertex, lowest label on a tie.
     """
-    top = max(range(len(degrees)), key=lambda v: (degrees[v], -v), default=None)
-    return P.right if top in P.right else P.left
+    return P.right if degrees and degrees.index(max(degrees)) in P.right else P.left
 
 
 def diagram_of(G: Graph, P: Bipartition) -> FerrersDiagram:

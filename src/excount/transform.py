@@ -92,45 +92,36 @@ def shift_to_nested(G: Graph, P: Bipartition, k: int) -> tuple[Graph, Trace]:
     While some same-side pair x, y has deg(x) <= deg(y) and a neighbor z of
     x missing at y, the edge xz is replaced by yz. The moving pair is fixed
     deterministically: x of minimum degree (lowest label on ties), then y
-    of maximum degree (lowest label), then z of minimum label. Already
-    nested input comes back unchanged with a start-only trace.
+    of maximum degree (lowest label), then z of minimum label. Each round
+    ranks both sides once by descending degree, then label; that ranking
+    gives the recorded columns and the y candidates. Already nested input
+    comes back unchanged with a start-only trace.
     """
     if k < 2:
         raise ValueError(f"leaf count must be at least 2, got {k}")
     adj = [set(s) for s in G.adj]
     deg = list(G.degrees)
     trace = Trace(k)
-
-    def record(kind: str, moved: int = 0) -> None:
-        columns = sorted((deg[v] for v in column_part(deg, P) if deg[v]), reverse=True)
-        _record(trace, kind, deg, tuple(columns), moved)
-
-    def find_move() -> tuple[int, int, int] | None:
-        ranked = [sorted(part, key=lambda v: (-deg[v], v)) for part in (P.left, P.right)]
-        for x in sorted(range(G.n), key=lambda v: (deg[v], v)):
-            if deg[x] == 0:
-                continue
-            for y in ranked[P.side_of(x)]:
-                if deg[y] < deg[x]:
-                    break
-                extra = adj[x] - adj[y]
-                if extra:
-                    return (x, y, min(extra))
-        return None
-
-    record("start")
-    for _ in range(comb(G.edge_count, 2) + 2):
-        move = find_move()
-        if move is None:
+    for shifts in range(comb(G.edge_count, 2) + 2):
+        ranked = [sorted((-deg[v], v) for v in part) for part in (P.left, P.right)]
+        columns = tuple(-d for d, _ in ranked[column_part(deg, P) is P.right] if d)
+        _record(trace, "shift" if shifts else "start", deg, columns, 1 if shifts else 0)
+        pairs = (
+            (x, y)
+            for dx, x in sorted((deg[v], v) for v in range(G.n) if deg[v])
+            for dy, y in ranked[P.side_of(x)]
+            if -dy >= dx and not adj[x] <= adj[y]
+        )
+        x, y = next(pairs, (None, None))
+        if x is None:
             break
-        x, y, z = move
+        z = min(adj[x] - adj[y])
         adj[x].discard(z)
         adj[z].discard(x)
         adj[y].add(z)
         adj[z].add(y)
         deg[x] -= 1
         deg[y] += 1
-        record("shift", moved=1)
     else:
         raise RuntimeError("shift phase exceeded its C(e,2) termination bound")
 

@@ -1,4 +1,5 @@
 import math
+import time
 from math import comb
 
 import pytest
@@ -212,6 +213,12 @@ class TestCrossoverScan:
     def test_step_includes_final_point(self):
         scan = crossover_scan(2, 9, 7)
         assert scan.samples[-1][0] == comb(9, 2)
+
+    def test_work_is_capped_before_sampling(self):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="raise the step$"):
+            crossover_scan(2, 10**4)
+        assert time.perf_counter() - start < 1
 
 
 

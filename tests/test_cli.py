@@ -4,6 +4,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import pytest
@@ -440,6 +441,22 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: --n 6 exceeds the vertex limit 5\n"
+
+    def test_construct_edge_count_capped(self):
+        args = ["construct", "--family", "quasi-clique", "--n", "1000000", "--e", "499999500000"]
+        start = time.perf_counter()
+        proc = _run_cli(args)
+        assert time.perf_counter() - start < 1
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "error: --e 499999500000 exceeds the edge limit 1000000\n"
+
+    def test_scan_work_capped(self, tmp_path, capsys):
+        out = tmp_path / "scan.csv"
+        assert main(["scan-crossover", "--j", "2", "--n", "1000000", "--csv", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.endswith("raise the step\n") and err.count("\n") == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "args",

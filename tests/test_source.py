@@ -1,4 +1,5 @@
 import ast
+import importlib
 import sys
 from pathlib import Path
 
@@ -53,6 +54,15 @@ TRACED_IMPORTS = {
     ("asymptotics.py", "count_stars"),
     ("asymptotics.py", "inj_homs"),
 }
+
+
+def test_benchmark_patch_points_exist(monkeypatch):
+    """Tracer.install looks up each patch point as owner.__dict__[attr], so each stays defined there."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    tracer = importlib.import_module("tracer")
+    missing = [(owner.__name__, attr) for owner, attr, _ in tracer.PATCHES if attr not in owner.__dict__]
+    assert len(tracer.PATCHES) > 10
+    assert missing == []
 
 
 def test_module_imports_are_used():

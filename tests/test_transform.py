@@ -1,3 +1,4 @@
+import hashlib
 import random
 from math import comb
 
@@ -21,6 +22,7 @@ from excount.graphs import (
     nested_violation,
     realize_diagram,
 )
+from excount.reporting import emit_report
 from excount.transform import (
     TraceEntry,
     cell_weight,
@@ -353,6 +355,31 @@ class TestRunTransformation:
                 target = quasi_complete_bipartite(n, g.edge_count)
                 assert count_stars(endpoint, k) == count_stars(target, k)
                 assert trace.entries[-1].stars_k == count_stars(target, k)
+
+
+def test_rewrite_output_is_pinned():
+    # SHA-256 over the trace report, the endpoint edges and the moved
+    # counts of 200 seeded hosts with scattered parts, each rewritten at
+    # vertex budgets n and n + 2, and over the shift phase's nested graph,
+    # which the endpoint does not show; a change to the rewrite's output shows here
+    rng = random.Random(2027)
+    digest = hashlib.sha256()
+    for _ in range(200):
+        n = rng.randint(2, 30)
+        p = rng.randint(1, n // 2)
+        label = list(range(n))
+        rng.shuffle(label)
+        pairs = [(label[a], label[b]) for a in range(p) for b in range(p, n)]
+        g = make_graph(n, rng.sample(pairs, rng.randint(0, len(pairs))))
+        k = rng.choice((2, 3, 4))
+        nested, _ = shift_to_nested(g, bipartition_of(g), k)
+        digest.update(repr(sorted(nested.edges)).encode())
+        for budget in (n, n + 2):
+            endpoint, trace = run_transformation(g, k, budget)
+            digest.update(emit_report([trace]).encode())
+            digest.update(repr(sorted(endpoint.edges)).encode())
+            digest.update(repr([t.moved for t in trace.entries]).encode())
+    assert digest.hexdigest() == "aa8f2a2ca4898381067a5f44e87df7e67973ff838e16387bae3bc38b4677a075"
 
 
 class TestRewriteProperties:
