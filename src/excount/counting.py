@@ -216,8 +216,9 @@ def inj_homs(H: Graph, G: Graph) -> int:
     return sum(mu * _hom(F, G) for F, mu in terms) * perm(G.n - len(label), H.n - len(label))
 
 
+@lru_cache(maxsize=64)
 def automorphism_count(H: Graph) -> int:
-    """Order of the automorphism group of H.
+    """Order of the automorphism group of H, walked once per pattern and cached.
 
     An injective edge-preserving self-map is a bijection, and with equal
     edge counts it maps the edge set onto itself, so non-adjacency is

@@ -1,8 +1,9 @@
 """Spanning trees, star partitions of trees, and edge-plus-star covers.
 
 Every tree on at least two vertices splits into vertex classes that each
-induce a star with at least two vertices; `star_partition` splits off the
-subtree hanging from a branching neighbor until only stars remain.
+induce a star with at least two vertices; `star_partition` finds them in one
+sweep in label order, cutting only at vertices that are the lowest non-leaf
+of their part when the sweep reaches them.
 """
 from __future__ import annotations
 
@@ -41,46 +42,41 @@ def spanning_tree(H: Graph) -> Graph:
 def star_partition(T: Graph) -> StarPartition:
     """Partition a tree into induced stars with at least two vertices each.
 
-    Subtrees wait on a pending list, the whole tree first. A subtree that is
-    a star becomes one class. Otherwise take the lowest-labeled non-leaf v
-    and its lowest-labeled neighbor u that has a neighbor besides v; the
-    vertices nearer u than v form one subtree, the rest the other, and both
-    go on the list. Both always keep at least two vertices and fewer than
-    the subtree they came from, so the list runs out.
+    One sweep in label order: each vertex v takes its remaining neighbors u
+    in label order until v has fewer than two edges left, and cuts the edge
+    to u if u has at least two. No edge to a lower label is cut: every lower
+    vertex is by then a leaf or a finished star's center. So v is the lowest
+    non-leaf of its part, and its cuts are those of splitting at the lowest
+    non-leaf and its lowest non-leaf neighbor. The parts are the components
+    of the kept edges, by lowest member; each center has the most kept
+    edges, then the lowest label.
     """
     if T.n < 2:
         raise GraphError(f"star partition needs at least 2 vertices, got {T.n}")
     if T.edge_count != T.n - 1 or len(bfs(T, [0])[0]) != T.n:
         raise GraphError("input is not a tree")
 
-    parts: list[frozenset[int]] = []
-    centers: list[int] = []
-    pending: list[frozenset[int]] = [frozenset(range(T.n))]
-    while pending:
-        verts = pending.pop()
-        size = len(verts)
-        deg = {v: len(T.adj[v] & verts) for v in verts}
-        center = max(verts, key=lambda v: (deg[v], -v))
-        if deg[center] == size - 1:
-            parts.append(verts)
-            centers.append(center)
-            continue
-        v = min(u for u in verts if deg[u] >= 2)
-        u1 = min(w for w in T.adj[v] & verts if deg[w] >= 2)
-        side = {u1}
-        queue = [u1]
-        while queue:
-            x = queue.pop()
-            for w in T.adj[x] & verts:
-                if w != v and w not in side:
-                    side.add(w)
-                    queue.append(w)
-        pending.append(frozenset(side))
-        pending.append(verts - side)
-
-    order = sorted(range(len(parts)), key=lambda i: min(parts[i]))
+    near = list(map(set, T.adj))
+    for v in range(T.n):
+        for u in sorted(near[v]):
+            if len(near[v]) < 2:
+                break
+            if len(near[u]) >= 2:
+                near[v].remove(u)
+                near[u].remove(v)
+    parts: list[list[int]] = []
+    seen = [False] * T.n
+    for v in range(T.n):
+        if not seen[v]:
+            # the kept edges form a forest, so each vertex joins its part once
+            part = [v]
+            for x in part:
+                seen[x] = True
+                part += (w for w in near[x] if not seen[w])
+            parts.append(part)
     return StarPartition(
-        tuple(parts[i] for i in order), tuple(centers[i] for i in order)
+        tuple(map(frozenset, parts)),
+        tuple(max(part, key=lambda v: (len(near[v]), -v)) for part in parts),
     )
 
 

@@ -193,6 +193,19 @@ class TestWitnessCount:
         assert rec.witnesses == ()
         assert rec.maximum == ORACLES[host_class](5, 4, path_graph(4)).maximum
 
+    def test_automorphisms_are_walked_once_per_sweep(self, monkeypatch):
+        # the sweep and each witness's count_copies recheck share one cached automorphism count
+        H, walks, count = path_graph(4), [], PatternCounter.count
+
+        def counting_count(self, G):
+            walks.append(G == H)
+            return count(self, G)
+
+        automorphism_count.cache_clear()
+        monkeypatch.setattr(PatternCounter, "count", counting_count)
+        rec = ex_oracle(5, 4, H, witnesses=3)
+        assert len(rec.witnesses) >= 1 and walks.count(True) == 1
+
 
 class TestClasses:
     # Graphs, triangle-free graphs and bipartite graphs up to isomorphism
